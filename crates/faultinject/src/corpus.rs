@@ -446,10 +446,10 @@ impl TraceCorpus {
     }
 }
 
-/// Obtains the recorded-trace bundle for a spec: from the corpus when one
-/// is configured and holds a valid snapshot, freshly recorded otherwise.
-/// Returns the bundle and whether it was recorded fresh (telemetry only —
-/// the bundle itself is byte-identical either way, because the corpus
+/// Obtains the recorded trace for a spec: from the corpus when one is
+/// configured and holds a valid snapshot, freshly recorded otherwise.
+/// Returns the trace and whether it was recorded fresh (telemetry only —
+/// the trace itself is byte-identical either way, because the corpus
 /// stores the exact text [`Trace::to_text`] produces).
 ///
 /// # Errors
@@ -466,13 +466,13 @@ pub fn obtain_campaign_trace(
     };
     let key = TraceKey::of(spec);
     match corpus.load(&key) {
-        Ok(Some(trace)) => Ok((RecordedTrace::new(trace), false)),
+        Ok(Some(trace)) => Ok((RecordedTrace::new(&trace), false)),
         Ok(None) => {
             let trace = record_trace(spec)?;
             corpus
                 .store(&key, &trace)
                 .map_err(|e| CampaignError(e.to_string()))?;
-            Ok((RecordedTrace::new(trace), true))
+            Ok((RecordedTrace::new(&trace), true))
         }
         Err(e) => Err(CampaignError(e.to_string())),
     }
@@ -568,5 +568,34 @@ mod tests {
         assert!(matches!(err, CorpusError::Missing { .. }), "{err:?}");
         assert!(err.to_string().contains(".trace"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_from_rejects_a_body_naming_an_unbound_id() {
+        use safemem_workloads::TraceOp;
+        let dir = std::env::temp_dir().join("safemem-corpus-unbound-id");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let key = key();
+        let mut bad = Trace::new();
+        bad.push(TraceOp::Malloc {
+            size: 64,
+            frames: vec![0x1],
+        });
+        bad.push(TraceOp::Free { id: 3 });
+        TraceCorpus::open(&dir, CorpusMode::Record)
+            .expect("open record")
+            .store(&key, &bad)
+            .expect("store");
+        let corpus = TraceCorpus::open(&dir, CorpusMode::ReplayFrom).expect("open replay");
+        let err = corpus.load(&key).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(matches!(err, CorpusError::Corrupt { .. }), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&*corpus.path_for(&key).to_string_lossy()),
+            "{msg}"
+        );
+        assert!(msg.contains("line 2: id not bound"), "{msg}");
     }
 }

@@ -16,8 +16,8 @@ use safemem_core::{
 use safemem_ecc::ControllerStats;
 use safemem_os::{Os, OsConfig, STATIC_BASE};
 use safemem_workloads::{
-    workload_by_name, BugClass, ColumnarReplayer, ColumnarTrace, InputMode, Recorder, Replayer,
-    RunConfig, Trace, TraceOp,
+    workload_by_name, BugClass, ColumnarReplayer, ColumnarTrace, InputMode, Recorder, RunConfig,
+    RunResult, Trace,
 };
 use std::collections::HashSet;
 
@@ -57,17 +57,15 @@ pub struct MarkerCounts {
 }
 
 impl MarkerCounts {
-    /// Counts the markers in a recorded trace.
+    /// Counts the markers in a recorded trace's marker column.
     #[must_use]
-    pub fn of(trace: &Trace) -> MarkerCounts {
+    pub fn of(trace: &ColumnarTrace) -> MarkerCounts {
         let mut counts = MarkerCounts::default();
-        for op in trace.ops() {
-            if let TraceOp::Marker { kind } = op {
-                match kind {
-                    IncidentClass::Overflow => counts.overflows += 1,
-                    IncidentClass::UseAfterFree => counts.uafs += 1,
-                    IncidentClass::DoubleFree => counts.double_frees += 1,
-                }
+        for kind in trace.markers() {
+            match kind {
+                IncidentClass::Overflow => counts.overflows += 1,
+                IncidentClass::UseAfterFree => counts.uafs += 1,
+                IncidentClass::DoubleFree => counts.double_frees += 1,
             }
         }
         counts
@@ -290,76 +288,118 @@ fn build_tool(name: &str, spec: &CampaignSpec, os: &mut Os) -> Box<dyn MemTool> 
 /// The differential panel, in scorecard order.
 pub const PANEL: &[&str] = &["safemem", "purify", "memcheck", "pageguard", "none"];
 
-/// A recorded campaign trace in both layouts: the enum [`Trace`] (the
-/// serialisation format and differential reference) and its struct-of-arrays
-/// [`ColumnarTrace`] flattening (the replay hot path). Flattening happens
-/// once at record time, so every panel cell sharing the recording replays
-/// columns without re-walking the enum stream.
+/// A recorded campaign trace, held once in the struct-of-arrays
+/// [`ColumnarTrace`] layout the replay engine scans. Flattening happens once
+/// at record (or corpus-load) time, so every panel cell sharing the
+/// recording replays columns without re-walking an op list.
 #[derive(Debug, Clone)]
 pub struct RecordedTrace {
-    /// The enum-layout op stream.
-    pub trace: Trace,
-    /// The same stream flattened to columns.
+    /// The op stream flattened to columns.
     pub columnar: ColumnarTrace,
 }
 
 impl RecordedTrace {
-    /// Flattens `trace` and bundles both layouts.
+    /// Flattens `trace` into the held layout.
     #[must_use]
-    pub fn new(trace: Trace) -> Self {
+    pub fn new(trace: &Trace) -> Self {
         RecordedTrace {
-            columnar: ColumnarTrace::from_trace(&trace),
-            trace,
+            columnar: ColumnarTrace::from_trace(trace),
         }
     }
 }
 
-/// [`record_trace`] bundled with its columnar flattening — what the matrix
-/// runners memoize per [`TraceKey`](crate::TraceKey).
+/// [`record_trace`] flattened to columns — what the campaign runners
+/// memoize per [`TraceKey`](crate::TraceKey).
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] if the spec names an unknown workload.
 pub fn record_campaign_trace(spec: &CampaignSpec) -> Result<RecordedTrace, CampaignError> {
-    record_trace(spec).map(RecordedTrace::new)
+    record_trace(spec).map(|trace| RecordedTrace::new(&trace))
 }
 
 /// Runs one campaign: records the ground-truth trace, replays it through the
 /// whole panel under injection, and scores every tool.
 ///
-/// Equivalent to [`record_trace`] followed by [`replay_panel`]; the matrix
-/// runner uses the split halves so cells sharing a trace record it once.
+/// Equivalent to [`record_campaign_trace`] followed by
+/// [`replay_panel_columnar_with`]; the campaign runners use the split
+/// halves so cells sharing a trace record it once.
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] if the spec names an unknown workload.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignResult, CampaignError> {
-    let trace = record_trace(spec)?;
-    replay_panel(spec, &trace)
+    let rec = record_campaign_trace(spec)?;
+    replay_panel_columnar_with(spec, &rec, &mut ColumnarReplayer::new())
 }
 
 /// Replays an already-recorded campaign trace through the whole panel under
 /// injection and scores every tool. The trace is only borrowed, so one
-/// recording can serve every cell that shares it.
+/// recording can serve every cell that shares it, and the caller-owned
+/// replayer lets a worker reuse its buffers across all of its cells.
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_panel(spec: &CampaignSpec, trace: &Trace) -> Result<CampaignResult, CampaignError> {
-    replay_panel_with(spec, trace, &mut Replayer::new())
+pub fn replay_panel_columnar_with(
+    spec: &CampaignSpec,
+    rec: &RecordedTrace,
+    replayer: &mut ColumnarReplayer,
+) -> Result<CampaignResult, CampaignError> {
+    let (truth, tools) = replay_tools(spec, PANEL, &rec.columnar, |os, tool| {
+        replayer.replay(&rec.columnar, os, tool)
+    })?;
+    Ok(CampaignResult {
+        spec: spec.clone(),
+        truth,
+        tools,
+    })
 }
 
-/// [`replay_panel`] with a caller-owned [`Replayer`], so a worker thread
-/// replaying many cells reuses its scratch buffers across all of them.
+/// Replays an already-recorded trace through **SafeMem alone** under the
+/// spec's injection mix — the fleet's per-process cell executor. A fleet
+/// runs hundreds-to-thousands of cells and only scores SafeMem's detection
+/// probability, so running the full differential panel per cell would
+/// quintuple the work for numbers the fleet scorecard never reads. The
+/// SafeMem run is the panel's own (same builder, same seed-derived sampling
+/// stream, same injector), so a fleet cell and the matching panel cell
+/// produce the same `safemem` score.
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_panel_with(
+pub fn replay_safemem_columnar_with(
     spec: &CampaignSpec,
-    trace: &Trace,
-    replayer: &mut Replayer,
-) -> Result<CampaignResult, CampaignError> {
+    rec: &RecordedTrace,
+    replayer: &mut ColumnarReplayer,
+) -> Result<(GroundTruth, ToolScore), CampaignError> {
+    let (truth, mut tools) = replay_tools(spec, &["safemem"], &rec.columnar, |os, tool| {
+        replayer.replay(&rec.columnar, os, tool)
+    })?;
+    Ok((truth, tools.pop().expect("one tool replayed")))
+}
+
+/// The oracle body both entry points share: replays a recorded trace
+/// through each of `tools` (names from [`PANEL`]) on a fresh OS under the
+/// spec's injection, and scores every run against the ground truth.
+/// `trace` supplies the ground truth's op and marker counts; `replay` is the
+/// replay engine, called once per tool. Production passes a
+/// [`ColumnarReplayer`] over `trace`; the differential tests pass
+/// `Trace::replay_naive` over the same recording.
+///
+/// # Errors
+///
+/// Returns [`CampaignError`] if the spec names an unknown workload.
+///
+/// # Panics
+///
+/// Panics if `tools` names a tool outside [`PANEL`].
+pub fn replay_tools(
+    spec: &CampaignSpec,
+    tools: &[&'static str],
+    trace: &ColumnarTrace,
+    mut replay: impl FnMut(&mut Os, &mut dyn MemTool) -> RunResult,
+) -> Result<(GroundTruth, Vec<ToolScore>), CampaignError> {
     let workload = workload_by_name(&spec.workload)
         .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
     let truth = GroundTruth {
@@ -373,15 +413,15 @@ pub fn replay_panel_with(
     // group.
     let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
 
-    let mut tools = Vec::with_capacity(PANEL.len());
-    for &name in PANEL {
+    let mut scores = Vec::with_capacity(tools.len());
+    for &name in tools {
         let mut os = build_os(spec);
         let tool = build_tool(name, spec, &mut os);
         let mut injector = Injector::new(tool, spec.mix, spec.seed);
-        let result = replayer.replay(trace, &mut os, &mut injector);
+        let result = replay(&mut os, &mut injector);
         let summary = injector.survival();
         let sampling = injector.sampling();
-        tools.push(score(
+        scores.push(score(
             name,
             spec,
             &truth,
@@ -393,151 +433,7 @@ pub fn replay_panel_with(
             sampling,
         ));
     }
-
-    Ok(CampaignResult {
-        spec: spec.clone(),
-        truth,
-        tools,
-    })
-}
-
-/// [`replay_panel_with`] over the columnar layout — the campaign runners'
-/// hot path. Scores are identical to the enum-layout panel (the replay
-/// engines are differentially tested); only the scan is different.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_panel_columnar_with(
-    spec: &CampaignSpec,
-    rec: &RecordedTrace,
-    replayer: &mut ColumnarReplayer,
-) -> Result<CampaignResult, CampaignError> {
-    let workload = workload_by_name(&spec.workload)
-        .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
-    let truth = GroundTruth {
-        bug: workload.spec().bug,
-        leak_groups: workload.true_leak_groups(),
-        expects_corruption: !workload.spec().bug.is_leak(),
-        trace_ops: rec.columnar.len(),
-        markers: MarkerCounts::of(&rec.trace),
-    };
-    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
-
-    let mut tools = Vec::with_capacity(PANEL.len());
-    for &name in PANEL {
-        let mut os = build_os(spec);
-        let tool = build_tool(name, spec, &mut os);
-        let mut injector = Injector::new(tool, spec.mix, spec.seed);
-        let result = replayer.replay(&rec.columnar, &mut os, &mut injector);
-        let summary = injector.survival();
-        let sampling = injector.sampling();
-        tools.push(score(
-            name,
-            spec,
-            &truth,
-            &truth_set,
-            &os,
-            &result,
-            injector.log(),
-            summary,
-            sampling,
-        ));
-    }
-
-    Ok(CampaignResult {
-        spec: spec.clone(),
-        truth,
-        tools,
-    })
-}
-
-/// Replays an already-recorded trace through **SafeMem alone** under the
-/// spec's injection mix — the fleet campaign's per-process cell executor.
-/// A fleet sweeps hundreds-to-thousands of cells and only scores SafeMem's
-/// detection probability, so running the full differential panel per cell
-/// would quintuple the work for numbers the fleet scorecard never reads.
-/// The SafeMem run is identical to the panel's (same builder, same
-/// seed-derived sampling stream, same injector), so a fleet cell and the
-/// matching panel cell produce the same `safemem` score.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_safemem_with(
-    spec: &CampaignSpec,
-    trace: &Trace,
-    replayer: &mut Replayer,
-) -> Result<(GroundTruth, ToolScore), CampaignError> {
-    let workload = workload_by_name(&spec.workload)
-        .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
-    let truth = GroundTruth {
-        bug: workload.spec().bug,
-        leak_groups: workload.true_leak_groups(),
-        expects_corruption: !workload.spec().bug.is_leak(),
-        trace_ops: trace.len(),
-        markers: MarkerCounts::of(trace),
-    };
-    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
-    let mut os = build_os(spec);
-    let tool = build_tool("safemem", spec, &mut os);
-    let mut injector = Injector::new(tool, spec.mix, spec.seed);
-    let result = replayer.replay(trace, &mut os, &mut injector);
-    let summary = injector.survival();
-    let sampling = injector.sampling();
-    let tool_score = score(
-        "safemem",
-        spec,
-        &truth,
-        &truth_set,
-        &os,
-        &result,
-        injector.log(),
-        summary,
-        sampling,
-    );
-    Ok((truth, tool_score))
-}
-
-/// [`replay_safemem_with`] over the columnar layout — the fleet's
-/// per-process cell executor.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_safemem_columnar_with(
-    spec: &CampaignSpec,
-    rec: &RecordedTrace,
-    replayer: &mut ColumnarReplayer,
-) -> Result<(GroundTruth, ToolScore), CampaignError> {
-    let workload = workload_by_name(&spec.workload)
-        .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
-    let truth = GroundTruth {
-        bug: workload.spec().bug,
-        leak_groups: workload.true_leak_groups(),
-        expects_corruption: !workload.spec().bug.is_leak(),
-        trace_ops: rec.columnar.len(),
-        markers: MarkerCounts::of(&rec.trace),
-    };
-    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
-    let mut os = build_os(spec);
-    let tool = build_tool("safemem", spec, &mut os);
-    let mut injector = Injector::new(tool, spec.mix, spec.seed);
-    let result = replayer.replay(&rec.columnar, &mut os, &mut injector);
-    let summary = injector.survival();
-    let sampling = injector.sampling();
-    let tool_score = score(
-        "safemem",
-        spec,
-        &truth,
-        &truth_set,
-        &os,
-        &result,
-        injector.log(),
-        summary,
-        sampling,
-    );
-    Ok((truth, tool_score))
+    Ok((truth, scores))
 }
 
 /// Classifies one tool's reports against the ground truth.
@@ -548,7 +444,7 @@ fn score(
     truth: &GroundTruth,
     truth_set: &HashSet<GroupKey>,
     os: &Os,
-    result: &safemem_workloads::RunResult,
+    result: &RunResult,
     injected: InjectionLog,
     summary: Option<SurvivalSummary>,
     sampling: Option<SamplingSummary>,

@@ -1,6 +1,13 @@
-//! Sharded campaign execution: a hand-rolled scoped worker pool that fans a
-//! seeds × workloads campaign matrix across N threads **without giving up
-//! byte-identical scorecards**.
+//! Sharded campaign execution: the one scoped worker pool of this crate,
+//! `execute`, fans a list of campaign cells across N threads **without
+//! giving up byte-identical scorecards**. The collected matrix
+//! ([`run_matrix_with`]), the streamed matrix
+//! ([`run_matrix_streamed_corpus`](crate::stream::run_matrix_streamed_corpus)),
+//! the fleet's phase B ([`run_fleet_corpus`](crate::fleet::run_fleet_corpus))
+//! and the rate × size sweep ([`run_fleet_sweep`](crate::sweep::run_fleet_sweep))
+//! are each one call to it with their own replay and fold closures.
+//! (`Fleet::run_sharded` in `safemem-fleet` keeps its own shard loop: that
+//! crate sits below this one, and its loop has no record phase.)
 //!
 //! # The determinism-under-parallelism invariant
 //!
@@ -12,22 +19,23 @@
 //! **no** mutable simulation state — the shared objects are atomic cursors
 //! handing out work indices and, under [`TraceMode::Memoized`], *immutable*
 //! recorded traces behind `Arc`. Scheduling decides *when* a cell runs,
-//! never *what* it computes, and results are re-assembled in cell-index
-//! order before aggregation. The aggregate scorecard is byte-identical for
-//! any thread count and any interleaving; `tests/parallel_determinism.rs`
-//! pins this for 1, 2, and 8 threads.
+//! never *what* it computes, and every fold is either order-independent or
+//! re-sorted into cell-index order before rendering. The aggregate
+//! scorecard is byte-identical for any thread count and any interleaving;
+//! `tests/parallel_determinism.rs` pins this for 1, 2, and 8 threads.
 //!
 //! # Record once, replay many
 //!
 //! A recorded trace is a pure function of the spec fields that feed the
 //! recording run ([`TraceKey`]: workload, workload seed, request count, and
 //! the OS/controller shape). Within a preset sweep every seed shares those
-//! fields, so a harsh 32 × 5 matrix has only 5 distinct traces. The runner
-//! exploits this in two phases: phase one shards the *unique* trace keys
-//! across the workers and records each exactly once; after a barrier, phase
-//! two shards the cells, each replaying its panel against the shared
-//! `Arc<Trace>`. [`TraceMode::FreshRecord`] disables the sharing and records
-//! per cell — the CI determinism gate diffs the two modes' scorecards.
+//! fields, so a harsh 32 × 5 matrix has only 5 distinct traces. The
+//! executor exploits this in two phases: phase one shards the *unique*
+//! trace keys across the workers and records each exactly once; after a
+//! barrier, phase two shards the cells, each replaying against the shared
+//! `Arc<RecordedTrace>`. Under [`TraceMode::FreshRecord`] phase one is empty
+//! and each cell records its own trace — the CI determinism gate diffs the
+//! two modes' scorecards.
 //!
 //! Per-worker timing and injection counters ([`WorkerReport`]) are the one
 //! deliberately schedule-dependent output: they describe the execution, not
@@ -42,8 +50,11 @@ use safemem_ecc::EccMode;
 use safemem_os::SwapPolicy;
 use safemem_workloads::{workload_by_name, ColumnarReplayer};
 
+use crate::corpus::{obtain_campaign_trace, TraceCorpus};
+use crate::inject::InjectionLog;
 use crate::oracle::{
-    record_campaign_trace, replay_panel_columnar_with, CampaignError, CampaignResult, RecordedTrace,
+    replay_panel_columnar_with, CampaignError, CampaignResult, GroundTruth, RecordedTrace,
+    ToolScore,
 };
 use crate::spec::CampaignSpec;
 
@@ -187,59 +198,65 @@ pub struct MatrixReport {
     pub wall: Duration,
 }
 
-/// Sums a campaign's injection events over the whole panel.
-pub(crate) fn injection_events(result: &CampaignResult) -> u64 {
-    result
-        .tools
-        .iter()
-        .map(|t| {
-            let log = t.injected;
-            log.data_bit_flips
-                + log.code_bit_flips
-                + log.multi_bit_bursts
-                + log.forced_scrub_cycles
-                + log.dma_transfers
-                + log.dma_faults
-        })
-        .sum()
+/// A replayed cell's output as the executor's telemetry sees it.
+pub(crate) trait CellOutput {
+    /// Injection events the cell's replay produced (bit flips, bursts,
+    /// forced scrubs, DMA transfers and DMA faults).
+    fn injection_events(&self) -> u64;
 }
 
-/// Runs every spec in the matrix across `threads` workers and reassembles
-/// the results in cell order, sharing recorded traces ([`TraceMode::Memoized`]).
-///
-/// # Errors
-///
-/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
-/// remaining cells still run), so the reported error does not depend on
-/// scheduling either.
-pub fn run_matrix(specs: &[CampaignSpec], threads: usize) -> Result<MatrixReport, CampaignError> {
-    run_matrix_with(specs, threads, TraceMode::default())
+fn log_events(log: &InjectionLog) -> u64 {
+    log.data_bit_flips
+        + log.code_bit_flips
+        + log.multi_bit_bursts
+        + log.forced_scrub_cycles
+        + log.dma_transfers
+        + log.dma_faults
 }
 
-/// Runs every spec in the matrix across `threads` workers and reassembles
-/// the results in cell order.
+impl CellOutput for CampaignResult {
+    fn injection_events(&self) -> u64 {
+        self.tools.iter().map(|t| log_events(&t.injected)).sum()
+    }
+}
+
+impl CellOutput for (GroundTruth, ToolScore) {
+    fn injection_events(&self) -> u64 {
+        log_events(&self.1.injected)
+    }
+}
+
+/// The crate's one scoped worker pool: runs every cell of `specs` on up to
+/// `threads` workers and returns their telemetry, sorted by worker index
+/// (one report per worker spawned).
 ///
-/// Under [`TraceMode::Memoized`] the workers first shard the matrix's
-/// *unique* [`TraceKey`]s and record each once; a barrier then releases the
-/// replay phase, where an atomic cursor hands out cells (dynamic
-/// self-scheduling, so an expensive cell does not stall a whole stripe) and
-/// each cell replays the shared `Arc<Trace>` for its key. Determinism is
+/// Under [`TraceMode::Memoized`] the workers first shard the *unique*
+/// [`TraceKey`]s of `specs` and obtain each trace once (from `corpus` when
+/// one is given, recorded otherwise); a barrier then releases the replay
+/// phase. Under [`TraceMode::FreshRecord`] each cell obtains its own trace.
+/// Either way an atomic cursor hands out cells (dynamic self-scheduling,
+/// so an expensive cell does not stall a whole stripe); each cell runs
+/// `replay` on its trace with the worker's own [`ColumnarReplayer`], and
+/// its output goes to `fold` together with its cell index. Determinism is
 /// unaffected because the shared traces are immutable and each equals what
 /// the cell would have recorded privately (see the module docs).
 ///
 /// # Errors
 ///
-/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
-/// remaining cells still run), so the reported error does not depend on
-/// scheduling either. A failed *recording* fails every cell that shares the
-/// key, which includes the lowest-indexed one.
-pub fn run_matrix_with(
+/// Returns the lowest-cell-index [`CampaignError`] that `replay` or `fold`
+/// raised (the remaining cells still run), so the reported error does not
+/// depend on scheduling. A failed recording fails every cell that shares
+/// its key, which includes the lowest-indexed one.
+pub(crate) fn execute<T: CellOutput>(
     specs: &[CampaignSpec],
     threads: usize,
     mode: TraceMode,
-) -> Result<MatrixReport, CampaignError> {
+    corpus: Option<&TraceCorpus>,
+    replay: impl Fn(&CampaignSpec, &RecordedTrace, &mut ColumnarReplayer) -> Result<T, CampaignError>
+        + Sync,
+    fold: impl Fn(usize, T) -> Result<(), CampaignError> + Sync,
+) -> Result<Vec<WorkerReport>, CampaignError> {
     let threads = threads.max(1).min(specs.len().max(1));
-    let start = Instant::now();
 
     // Map each cell to its trace slot. Under FreshRecord the table is empty
     // and every cell records privately in phase two.
@@ -263,22 +280,17 @@ pub fn run_matrix_with(
     let record_cursor = AtomicUsize::new(0);
     let cell_cursor = AtomicUsize::new(0);
     let barrier = Barrier::new(threads);
-    let cells: Mutex<Vec<(usize, Result<CampaignResult, CampaignError>)>> =
-        Mutex::new(Vec::with_capacity(specs.len()));
+    // The lowest-indexed failing cell, so the reported error never depends
+    // on scheduling.
+    let first_error: Mutex<Option<(usize, CampaignError)>> = Mutex::new(None);
     let workers: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::with_capacity(threads));
 
     std::thread::scope(|scope| {
         for worker in 0..threads {
-            let record_cursor = &record_cursor;
-            let cell_cursor = &cell_cursor;
-            let barrier = &barrier;
-            let cells = &cells;
-            let workers = &workers;
-            let slots = &slots;
-            let slot_spec = &slot_spec;
-            let slot_of_cell = &slot_of_cell;
+            let (slots, slot_spec, slot_of_cell) = (&slots, &slot_spec, &slot_of_cell);
+            let (record_cursor, cell_cursor, barrier) = (&record_cursor, &cell_cursor, &barrier);
+            let (replay, fold, first_error, workers) = (&replay, &fold, &first_error, &workers);
             scope.spawn(move || {
-                let mut mine = Vec::new();
                 let mut replayer = ColumnarReplayer::new();
                 let mut report = WorkerReport {
                     worker,
@@ -287,56 +299,57 @@ pub fn run_matrix_with(
                     busy: Duration::ZERO,
                     injection_events: 0,
                 };
+                let mut obtain = |spec: &CampaignSpec| {
+                    obtain_campaign_trace(spec, corpus).map(|(trace, fresh)| {
+                        report.traces_recorded += usize::from(fresh);
+                        trace
+                    })
+                };
 
-                // Phase one: record each unique trace exactly once.
+                // Phase one: obtain each unique trace exactly once.
                 loop {
                     let slot = record_cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = slot_spec.get(slot).copied() else {
                         break;
                     };
                     let t0 = Instant::now();
-                    let recorded = record_campaign_trace(spec).map(Arc::new);
+                    let trace = obtain(spec).map(Arc::new);
                     report.busy += t0.elapsed();
-                    report.traces_recorded += 1;
                     slots[slot]
-                        .set(recorded)
+                        .set(trace)
                         .expect("the cursor hands each slot to one worker");
                 }
                 barrier.wait();
 
-                // Phase two: replay the panel for every cell.
+                // Phase two: replay and fold every cell.
                 loop {
                     let index = cell_cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(index) else {
                         break;
                     };
                     let t0 = Instant::now();
-                    let result = match mode {
-                        TraceMode::Memoized => {
-                            let slot = &slots[slot_of_cell[index]];
-                            match slot.get().expect("phase one filled every slot") {
-                                Ok(trace) => replay_panel_columnar_with(spec, trace, &mut replayer),
+                    let result = match slot_of_cell.get(index) {
+                        Some(&slot) => {
+                            match slots[slot].get().expect("phase one filled every slot") {
+                                Ok(trace) => replay(spec, trace, &mut replayer),
                                 Err(e) => Err(e.clone()),
                             }
                         }
-                        TraceMode::FreshRecord => {
-                            report.traces_recorded += 1;
-                            record_campaign_trace(spec).and_then(|trace| {
-                                replay_panel_columnar_with(spec, &trace, &mut replayer)
-                            })
-                        }
+                        None => obtain(spec).and_then(|trace| replay(spec, &trace, &mut replayer)),
                     };
                     report.busy += t0.elapsed();
                     report.campaigns += 1;
-                    if let Ok(r) = &result {
-                        report.injection_events += injection_events(r);
+                    let folded = result.and_then(|output| {
+                        report.injection_events += output.injection_events();
+                        fold(index, output)
+                    });
+                    if let Err(e) = folded {
+                        let mut lowest = first_error.lock().expect("no panics hold the error lock");
+                        if lowest.as_ref().is_none_or(|(at, _)| index < *at) {
+                            *lowest = Some((index, e));
+                        }
                     }
-                    mine.push((index, result));
                 }
-                cells
-                    .lock()
-                    .expect("no panics hold the cell lock")
-                    .extend(mine);
                 workers
                     .lock()
                     .expect("no panics hold the worker lock")
@@ -345,19 +358,62 @@ pub fn run_matrix_with(
         }
     });
 
-    let mut cells = cells.into_inner().expect("scope joined all workers");
-    cells.sort_by_key(|(index, _)| *index);
-    let mut results = Vec::with_capacity(cells.len());
-    for (_, result) in cells {
-        results.push(result?);
+    if let Some((_, e)) = first_error.into_inner().expect("scope joined all workers") {
+        return Err(e);
     }
     let mut workers = workers.into_inner().expect("scope joined all workers");
     workers.sort_by_key(|w| w.worker);
+    Ok(workers)
+}
 
-    Ok(MatrixReport {
-        results,
-        workers,
+/// Runs every spec in the matrix across `threads` workers and reassembles
+/// the results in cell order, sharing recorded traces ([`TraceMode::Memoized`]).
+///
+/// # Errors
+///
+/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
+/// remaining cells still run), so the reported error does not depend on
+/// scheduling either.
+pub fn run_matrix(specs: &[CampaignSpec], threads: usize) -> Result<MatrixReport, CampaignError> {
+    run_matrix_with(specs, threads, TraceMode::default())
+}
+
+/// Runs every spec in the matrix across `threads` workers (`execute`) and
+/// collects the results in cell order.
+///
+/// # Errors
+///
+/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
+/// remaining cells still run), so the reported error does not depend on
+/// scheduling either. A failed *recording* fails every cell that shares the
+/// key, which includes the lowest-indexed one.
+pub fn run_matrix_with(
+    specs: &[CampaignSpec],
+    threads: usize,
+    mode: TraceMode,
+) -> Result<MatrixReport, CampaignError> {
+    let start = Instant::now();
+    let cells = Mutex::new(Vec::with_capacity(specs.len()));
+    let workers = execute(
+        specs,
         threads,
+        mode,
+        None,
+        replay_panel_columnar_with,
+        |index, result| {
+            cells
+                .lock()
+                .expect("no panics hold the cell lock")
+                .push((index, result));
+            Ok(())
+        },
+    )?;
+    let mut cells = cells.into_inner().expect("scope joined all workers");
+    cells.sort_by_key(|(index, _)| *index);
+    Ok(MatrixReport {
+        results: cells.into_iter().map(|(_, result)| result).collect(),
+        threads: workers.len(),
+        workers,
         wall: start.elapsed(),
     })
 }

@@ -4,7 +4,8 @@
 
 use safemem_faultinject::{
     expand_fleet, fleet_process_specs, render_fleet, render_fleet_bench_json, run_fleet,
-    run_fleet_sharded, BenchRun, CampaignSpec, SmRng, TraceMode, SAMPLING_STREAM,
+    run_fleet_corpus, run_fleet_sharded, run_fleet_sweep, BenchRun, CampaignSpec, CorpusMode,
+    SmRng, SweepConfig, TraceCorpus, TraceKey, TraceMode, SAMPLING_STREAM,
 };
 use safemem_fleet::{Fleet, FleetConfig};
 
@@ -195,4 +196,34 @@ fn run_fleet_validates_its_specs() {
         run_fleet_sharded(&valid, 1, 0, TraceMode::Memoized).is_err(),
         "zero shards are rejected"
     );
+}
+
+/// The executor's error rule on both fleet paths: replaying from an empty
+/// corpus fails every recording, so the lowest-indexed cell's error wins,
+/// and the fleet and the sweep report the same corpus error — naming the
+/// missing file — at any thread count.
+#[test]
+fn fleet_and_sweep_report_the_same_missing_corpus_file() {
+    let dir = std::env::temp_dir().join("safemem-fleet-empty-corpus");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let corpus = TraceCorpus::open(&dir, CorpusMode::ReplayFrom).expect("open replay");
+    let specs = expand_fleet(6, 0, Some(48)).expect("valid fleet");
+    let missing = corpus.path_for(&TraceKey::of(&specs[0]));
+    let config = SweepConfig {
+        requests: Some(48),
+        rates_ppm: vec![200_000],
+        sizes: vec![6],
+        ..SweepConfig::default()
+    };
+    for threads in [1, 4] {
+        let fleet = run_fleet_corpus(&specs, threads, 1, TraceMode::Memoized, Some(&corpus))
+            .expect_err("nothing to replay from");
+        let sweep =
+            run_fleet_sweep(&config, threads, Some(&corpus)).expect_err("nothing to replay from");
+        assert_eq!(fleet, sweep, "{threads} threads");
+        assert!(fleet.0.contains(&*missing.to_string_lossy()), "{fleet}");
+        assert!(fleet.0.contains("is missing"), "{fleet}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

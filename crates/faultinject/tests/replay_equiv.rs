@@ -9,19 +9,21 @@
 //! 2. **Incremental vs naive leak checks** — replaying a real recorded
 //!    trace through SafeMem with the deadline-scheduled detector must match
 //!    the full-scan reference detector result-for-result.
-//! 3. **Replayer vs naive replay** — the allocation-free [`Replayer`] must
-//!    agree with the self-contained `Trace::replay_naive` on arbitrary
-//!    well-formed synthetic traces.
+//! 3. **Columnar vs naive replay** — the production [`ColumnarReplayer`]
+//!    must agree with the self-contained `Trace::replay_naive` reference on
+//!    arbitrary well-formed synthetic traces and, through the oracle's
+//!    replay-engine seam, on every golden-matrix cell's whole panel.
 
 use proptest::prelude::*;
 use safemem_core::{IncidentClass, LeakConfig, SafeMem};
 use safemem_faultinject::{
     expand_frontier, expand_matrix, record_campaign_trace, record_trace,
-    replay_panel_columnar_with, replay_panel_with, run_matrix_streamed, run_matrix_streamed_corpus,
+    replay_panel_columnar_with, replay_tools, run_matrix_streamed, run_matrix_streamed_corpus,
     run_matrix_with, CampaignSpec, CorpusMode, StreamAggregate, TraceCorpus, TraceKey, TraceMode,
+    PANEL,
 };
 use safemem_os::{Os, OsConfig};
-use safemem_workloads::{ColumnarReplayer, ColumnarTrace, Replayer, Trace, TraceOp};
+use safemem_workloads::{ColumnarReplayer, ColumnarTrace, Trace, TraceOp};
 
 fn golden_matrix() -> Vec<CampaignSpec> {
     // Mirror of the golden-scorecard harness: one leak and one corruption
@@ -109,7 +111,7 @@ fn incremental_and_naive_leak_checks_agree_on_recorded_traces() {
                 ..LeakConfig::default()
             };
             let mut tool = SafeMem::builder().leak_config(cfg).build(&mut os);
-            Replayer::new().replay(&trace, &mut os, &mut tool)
+            trace.replay_naive(&mut os, &mut tool)
         };
         let incremental = replay(true);
         let naive = replay(false);
@@ -117,22 +119,27 @@ fn incremental_and_naive_leak_checks_agree_on_recorded_traces() {
     }
 }
 
-/// The columnar replay engine and the per-op enum replayer score every
-/// golden-matrix cell identically — the whole panel, not just SafeMem.
+/// The columnar replay engine and the naive reference score every
+/// golden-matrix cell identically — the whole panel, not just SafeMem —
+/// when the oracle is handed either engine through its replay seam.
 #[test]
-fn columnar_and_enum_replay_agree_on_the_golden_matrix() {
-    let mut enum_replayer = Replayer::new();
+fn columnar_and_naive_replay_agree_on_the_golden_matrix() {
     let mut columnar_replayer = ColumnarReplayer::new();
     for spec in golden_matrix() {
         let rec = record_campaign_trace(&spec).expect("record");
-        let via_enum =
-            replay_panel_with(&spec, &rec.trace, &mut enum_replayer).expect("enum replay");
+        let trace = record_trace(&spec).expect("record");
+        let (truth, tools) = replay_tools(&spec, PANEL, &rec.columnar, |os, tool| {
+            trace.replay_naive(os, tool)
+        })
+        .expect("naive replay");
         let via_columnar = replay_panel_columnar_with(&spec, &rec, &mut columnar_replayer)
             .expect("columnar replay");
         assert_eq!(
-            via_enum, via_columnar,
+            (truth, tools),
+            (via_columnar.truth, via_columnar.tools),
             "columnar replay diverged: {} seed {}",
-            spec.workload, spec.seed
+            spec.workload,
+            spec.seed
         );
     }
 }
@@ -153,7 +160,7 @@ fn epoch_batched_and_eager_leak_scheduling_agree_on_recorded_traces() {
                 ..LeakConfig::default()
             };
             let mut tool = SafeMem::builder().leak_config(cfg).build(&mut os);
-            Replayer::new().replay(&trace, &mut os, &mut tool)
+            trace.replay_naive(&mut os, &mut tool)
         };
         let batched = replay(true);
         let eager = replay(false);
@@ -303,37 +310,12 @@ fn well_formed(ops: Vec<TraceOp>) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The scratch-reusing replayer and the naive HashMap-per-run replay
-    /// agree on arbitrary synthetic traces — including a second replay on
-    /// the *same* replayer, which must not leak state across runs.
+    /// The columnar engine and the naive HashMap-per-run reference agree on
+    /// arbitrary synthetic traces — markers, freed-access ops, and all —
+    /// including a second replay on the *same* [`ColumnarReplayer`], which
+    /// must not leak slot state across runs.
     #[test]
-    fn prop_replayer_matches_naive_replay(
-        ops in proptest::collection::vec(trace_op(24), 0..80),
-    ) {
-        let trace = well_formed(ops);
-
-        let mut os = Os::with_defaults(1 << 24);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let naive = trace.replay_naive(&mut os, &mut tool);
-
-        let mut replayer = Replayer::new();
-        let mut os = Os::with_defaults(1 << 24);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let fast = replayer.replay(&trace, &mut os, &mut tool);
-        prop_assert_eq!(&naive, &fast);
-
-        // Reuse the same replayer: stale slot state must not bleed through.
-        let mut os = Os::with_defaults(1 << 24);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let again = replayer.replay(&trace, &mut os, &mut tool);
-        prop_assert_eq!(&fast, &again);
-    }
-
-    /// The columnar engine agrees with the enum replayer on arbitrary
-    /// synthetic traces — markers, freed-access ops, and all — including a
-    /// second replay on the same [`ColumnarReplayer`].
-    #[test]
-    fn prop_columnar_replay_matches_enum_replay(
+    fn prop_columnar_replay_matches_naive_replay(
         ops in proptest::collection::vec(trace_op(24), 0..80),
     ) {
         let trace = well_formed(ops);
@@ -342,14 +324,15 @@ proptest! {
 
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
-        let via_enum = Replayer::new().replay(&trace, &mut os, &mut tool);
+        let naive = trace.replay_naive(&mut os, &mut tool);
 
         let mut replayer = ColumnarReplayer::new();
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
         let via_columnar = replayer.replay(&columnar, &mut os, &mut tool);
-        prop_assert_eq!(&via_enum, &via_columnar);
+        prop_assert_eq!(&naive, &via_columnar);
 
+        // Reuse the same replayer: stale slot state must not bleed through.
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
         let again = replayer.replay(&columnar, &mut os, &mut tool);

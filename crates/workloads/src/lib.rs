@@ -8,6 +8,12 @@
 //! per-tool overhead comparisons are apples-to-apples, and ground-truth
 //! bookkeeping for false-positive counting.
 //!
+//! A run can be captured as a [`Trace`] by the [`Recorder`] and replayed
+//! under any tool. Replay has one production engine, [`ColumnarReplayer`],
+//! over the struct-of-arrays [`ColumnarTrace`] layout; [`Trace::replay`]
+//! flattens and delegates to it. `Trace::replay_naive` is kept only as the
+//! reference the engine is tested against.
+//!
 //! # Example
 //!
 //! ```
@@ -41,4 +47,4 @@ pub use registry::{
     all_workloads, churn_workloads, cve_workloads, extension_workloads, workload_by_name,
 };
 pub use synthetic::{Synthetic, SyntheticParams};
-pub use trace::{Recorder, Replayer, Trace, TraceOp};
+pub use trace::{Recorder, Trace, TraceOp};

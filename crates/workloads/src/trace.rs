@@ -12,6 +12,7 @@
 //! re-issues it through another tool, translating recorded buffer ids to
 //! the replay tool's addresses (placements differ across layout policies).
 
+use crate::columnar::ColumnarTrace;
 use crate::driver::RunResult;
 use safemem_core::{CallStack, IncidentClass, MemTool};
 use safemem_os::Os;
@@ -224,9 +225,14 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, naming its line
+    /// number. Besides syntax errors, a buffer id that does not fit in `u32`
+    /// or that no earlier `M` op bound is malformed: replay could only
+    /// drop such an op.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut trace = Trace::new();
+        // Ids bound so far: `M` ops bind 0, 1, 2, ... in order.
+        let mut bound: u64 = 0;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -242,6 +248,11 @@ impl Trace {
                     None => tok.parse::<u64>().map_err(|_| err(what)),
                 }
             };
+            let id = |raw: u64| match u32::try_from(raw) {
+                Ok(id) if raw < bound => Ok(id),
+                Ok(_) => Err(err("id not bound by an earlier M op")),
+                Err(_) => Err(err("id out of range")),
+            };
             match tag {
                 "M" => {
                     let size = num("size")?;
@@ -251,12 +262,13 @@ impl Trace {
                         frames.push(u64::from_str_radix(hex, 16).map_err(|_| err("frame"))?);
                     }
                     trace.push(TraceOp::Malloc { size, frames });
+                    bound += 1;
                 }
                 "F" => trace.push(TraceOp::Free {
-                    id: num("id")? as u32,
+                    id: id(num("id")?)?,
                 }),
                 "R" => {
-                    let id = num("id")? as u32;
+                    let id = id(num("id")?)?;
                     let offset = parts
                         .next()
                         .and_then(|t| t.parse::<i64>().ok())
@@ -268,7 +280,7 @@ impl Trace {
                     trace.push(TraceOp::Read { id, offset, len });
                 }
                 "W" => {
-                    let id = num("id")? as u32;
+                    let id = id(num("id")?)?;
                     let offset = parts
                         .next()
                         .and_then(|t| t.parse::<i64>().ok())
@@ -298,7 +310,7 @@ impl Trace {
                 }
                 "I" => trace.push(TraceOp::Io { ns: num("ns")? }),
                 "RF" => {
-                    let id = num("id")? as u32;
+                    let id = id(num("id")?)?;
                     let offset = parts
                         .next()
                         .and_then(|t| t.parse::<i64>().ok())
@@ -310,7 +322,7 @@ impl Trace {
                     trace.push(TraceOp::ReadFreed { id, offset, len });
                 }
                 "WF" => {
-                    let id = num("id")? as u32;
+                    let id = id(num("id")?)?;
                     let offset = parts
                         .next()
                         .and_then(|t| t.parse::<i64>().ok())
@@ -331,7 +343,7 @@ impl Trace {
                     });
                 }
                 "FF" => trace.push(TraceOp::FreeAgain {
-                    id: num("id")? as u32,
+                    id: id(num("id")?)?,
                 }),
                 "K" => {
                     let kind = match parts.next().ok_or_else(|| err("kind"))? {
@@ -348,22 +360,23 @@ impl Trace {
         Ok(trace)
     }
 
-    /// Replays the trace against a tool. Accesses whose buffer was freed
-    /// are skipped (a trace replayed under a different layout has no
-    /// meaningful address for them); accesses naming an id no `Malloc` ever
-    /// bound trip a debug assertion — see [`Replayer::replay`].
+    /// Replays the trace against a tool through the one production engine,
+    /// [`ColumnarReplayer`](crate::ColumnarReplayer). Accesses whose buffer
+    /// was freed are skipped (a trace replayed under a different layout has
+    /// no meaningful address for them); accesses naming an id no `Malloc`
+    /// ever bound trip a debug assertion.
     ///
-    /// Equivalent to `Replayer::new().replay(self, os, tool)`; campaign
-    /// loops that replay many traces should hold one [`Replayer`] and reuse
-    /// its buffers instead.
+    /// Flattens the trace on every call; campaign loops that replay one
+    /// trace many times should flatten it once into a [`ColumnarTrace`] and
+    /// hold one [`ColumnarReplayer`](crate::ColumnarReplayer) instead.
     pub fn replay(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
-        Replayer::new().replay(self, os, tool)
+        ColumnarTrace::from_trace(self).replay(os, tool)
     }
 
-    /// The original per-op-allocating replay, retained as a differential
-    /// reference for the [`Replayer`] fast path (equivalence tests and the
-    /// `replay` benchmark compare the two). New code should call
-    /// [`Trace::replay`].
+    /// The self-contained per-op-allocating replay: the single reference the
+    /// columnar engine is differentially tested against (tests and the
+    /// `replay` benchmark call it; production code calls
+    /// [`Trace::replay`]).
     pub fn replay_naive(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
         let mut addrs: HashMap<u32, u64> = HashMap::new();
         let mut freed: HashMap<u32, u64> = HashMap::new();
@@ -426,184 +439,6 @@ impl Trace {
                 TraceOp::FreeAgain { id } => {
                     if let Some(&addr) = freed.get(id) {
                         tool.free(os, addr);
-                    }
-                }
-                TraceOp::Marker { kind } => tool.mark_incident(*kind),
-            }
-        }
-        tool.finish(os);
-        RunResult {
-            cpu_cycles: os.cpu_cycles(),
-            reports: tool.reports(),
-            heap_stats: tool.heap().stats(),
-        }
-    }
-}
-
-/// Flag bit marking a retired (freed) slot in the [`Replayer`] slot map.
-/// The freed address is kept under the flag so freed-access ops
-/// (`ReadFreed`/`WriteFreed`/`FreeAgain`) can still resolve it; plain
-/// accesses skip flagged slots. Heap virtual addresses never reach bit 63,
-/// so the flag cannot collide with a live address.
-const RETIRED: u64 = 1 << 63;
-
-/// Allocation-free trace replay engine.
-///
-/// Replaying is the campaign hot loop: every cell replays one trace five
-/// times (once per panel tool), and the original [`Trace::replay_naive`]
-/// heap-allocated a scratch `Vec` for every `Read`/`Write` op and
-/// translated ids through a `HashMap`. Ids are assigned densely at `Malloc`
-/// time, so a `Vec<u64>` slot map (with the [`RETIRED`] flag bit marking
-/// dead slots)
-/// replaces the hash table, and one grow-only scratch buffer serves every
-/// payload. The struct is reusable across traces: buffers are cleared, not
-/// dropped, so a worker thread replaying an entire campaign shard touches
-/// the allocator only when a trace's largest access grows the scratch.
-#[derive(Debug, Default)]
-pub struct Replayer {
-    /// Slot map from dense buffer id to replay-tool address.
-    addrs: Vec<u64>,
-    /// Scratch payload reused for every `Read`/`Write`.
-    scratch: Vec<u8>,
-}
-
-impl Replayer {
-    /// Creates a replayer with empty buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        Replayer::default()
-    }
-
-    /// Ensures the scratch buffer can hold `len` bytes and returns it.
-    /// Contents are whatever the previous op left behind — `Read` payloads
-    /// are pure out-params and `Write` fills the prefix it sends.
-    fn scratch_mut(&mut self, len: usize) -> &mut [u8] {
-        if self.scratch.len() < len {
-            self.scratch.resize(len, 0);
-        }
-        &mut self.scratch[..len]
-    }
-
-    /// Replays `trace` against a tool, reusing this replayer's buffers.
-    ///
-    /// Behaviour is identical to the retained [`Trace::replay_naive`]
-    /// reference, with one tightening: an access naming an id that no
-    /// `Malloc` ever bound indicates a recorder (or synthetic-trace) bug,
-    /// and trips a debug assertion instead of silently shrinking the replay
-    /// to an empty run. Accesses to *freed* ids are still skipped, matching
-    /// the reference.
-    pub fn replay(&mut self, trace: &Trace, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
-        self.addrs.clear();
-        for op in &trace.ops {
-            match op {
-                TraceOp::Malloc { size, frames } => {
-                    let stack = CallStack::new(frames);
-                    self.addrs.push(tool.malloc(os, *size, &stack));
-                }
-                TraceOp::Free { id } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace frees id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    if let Some(slot) = self.addrs.get_mut(*id as usize) {
-                        let addr = *slot;
-                        if addr & RETIRED == 0 {
-                            *slot = addr | RETIRED;
-                            tool.free(os, addr);
-                        }
-                    }
-                }
-                TraceOp::Read { id, offset, len } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace reads id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(addr) if addr & RETIRED == 0 => {
-                            let addr = addr.wrapping_add_signed(*offset);
-                            let buf = self.scratch_mut(*len as usize);
-                            tool.read(os, addr, buf);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::Write {
-                    id,
-                    offset,
-                    len,
-                    fill,
-                } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace writes id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(addr) if addr & RETIRED == 0 => {
-                            let addr = addr.wrapping_add_signed(*offset);
-                            let data = self.scratch_mut(*len as usize);
-                            data.fill(*fill);
-                            tool.write(os, addr, data);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::Compute {
-                    cycles,
-                    mem_accesses,
-                } => {
-                    tool.compute(os, *cycles, *mem_accesses);
-                }
-                TraceOp::Io { ns } => os.io_wait_ns(*ns),
-                TraceOp::ReadFreed { id, offset, len } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace reads freed id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(slot) if slot & RETIRED != 0 => {
-                            let addr = (slot & !RETIRED).wrapping_add_signed(*offset);
-                            let buf = self.scratch_mut(*len as usize);
-                            tool.read(os, addr, buf);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::WriteFreed {
-                    id,
-                    offset,
-                    len,
-                    fill,
-                } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace writes freed id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(slot) if slot & RETIRED != 0 => {
-                            let addr = (slot & !RETIRED).wrapping_add_signed(*offset);
-                            let data = self.scratch_mut(*len as usize);
-                            data.fill(*fill);
-                            tool.write(os, addr, data);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::FreeAgain { id } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace re-frees id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(slot) if slot & RETIRED != 0 => {
-                            tool.free(os, slot & !RETIRED);
-                        }
-                        _ => {}
                     }
                 }
                 TraceOp::Marker { kind } => tool.mark_incident(*kind),
@@ -872,6 +707,36 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_an_id_wider_than_u32() {
+        // 2^32 used to wrap to id 0 and silently target the first buffer.
+        let err = Trace::from_text("M 64 0x1\nW 4294967296 0 8 0\n").unwrap_err();
+        assert!(err.starts_with("line 2: id out of range"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_ops_on_ids_no_malloc_bound() {
+        for op in [
+            "F 1",
+            "R 1 0 8",
+            "W 1 0 8 0",
+            "RF 1 0 8",
+            "WF 1 0 8 0",
+            "FF 1",
+        ] {
+            let err = Trace::from_text(&format!("M 64 0x1\n# one buffer\n{op}\n")).unwrap_err();
+            assert!(
+                err.starts_with("line 3: id not bound by an earlier M op"),
+                "{op}: {err}"
+            );
+        }
+        assert!(
+            Trace::from_text("F 0\nM 64 0x1\n").is_err(),
+            "bound after use"
+        );
+        assert!(Trace::from_text("M 64 0x1\nF 0\nFF 0\n").is_ok());
+    }
+
+    #[test]
     fn freed_ops_and_markers_roundtrip() {
         let mut t = Trace::new();
         t.push(TraceOp::Malloc {
@@ -962,46 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn replayer_matches_naive_on_freed_op_traces() {
-        let mut t = Trace::new();
-        t.push(TraceOp::Malloc {
-            size: 100,
-            frames: vec![0x1],
-        });
-        t.push(TraceOp::Write {
-            id: 0,
-            offset: 0,
-            len: 100,
-            fill: 7,
-        });
-        t.push(TraceOp::Free { id: 0 });
-        t.push(TraceOp::ReadFreed {
-            id: 0,
-            offset: 16,
-            len: 8,
-        });
-        t.push(TraceOp::Marker {
-            kind: IncidentClass::UseAfterFree,
-        });
-        t.push(TraceOp::FreeAgain { id: 0 });
-        t.push(TraceOp::Marker {
-            kind: IncidentClass::DoubleFree,
-        });
-        let naive = {
-            let mut os = Os::with_defaults(1 << 22);
-            let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
-            t.replay_naive(&mut os, &mut tool)
-        };
-        let fast = {
-            let mut os = Os::with_defaults(1 << 22);
-            let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
-            Replayer::new().replay(&t, &mut os, &mut tool)
-        };
-        assert_eq!(naive, fast);
-        assert!(naive.corruption_detected(), "{:?}", naive.reports);
-    }
-
-    #[test]
     fn recorded_overflow_replays_against_safemem() {
         // Record a buggy run under the baseline (which sees nothing)...
         let mut os = Os::with_defaults(1 << 22);
@@ -1045,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn replayer_matches_naive_reference_on_a_recorded_workload() {
+    fn replay_matches_naive_reference_on_a_recorded_workload() {
         let gzip = crate::registry::workload_by_name("gzip").unwrap();
         let mut os = Os::with_defaults(1 << 25);
         let mut base = NullTool::new();
@@ -1066,47 +891,9 @@ mod tests {
         let fast = {
             let mut os = Os::with_defaults(1 << 25);
             let mut tool = SafeMem::builder().build(&mut os);
-            Replayer::new().replay(&trace, &mut os, &mut tool)
+            trace.replay(&mut os, &mut tool)
         };
         assert_eq!(naive, fast);
-    }
-
-    #[test]
-    fn replayer_reuse_across_traces_is_clean() {
-        // A replayer carried across traces must not leak slot-map state from
-        // the previous trace into the next (ids restart at 0 per trace).
-        let mut a = Trace::new();
-        a.push(TraceOp::Malloc {
-            size: 64,
-            frames: vec![0x1],
-        });
-        a.push(TraceOp::Free { id: 0 });
-        let mut b = Trace::new();
-        b.push(TraceOp::Malloc {
-            size: 32,
-            frames: vec![0x2],
-        });
-        b.push(TraceOp::Write {
-            id: 0,
-            offset: 0,
-            len: 32,
-            fill: 5,
-        });
-        b.push(TraceOp::Free { id: 0 });
-
-        let mut replayer = Replayer::new();
-        let fresh = {
-            let mut os = Os::with_defaults(1 << 22);
-            let mut tool = SafeMem::builder().build(&mut os);
-            b.replay(&mut os, &mut tool)
-        };
-        let mut os = Os::with_defaults(1 << 22);
-        let mut tool = SafeMem::builder().build(&mut os);
-        replayer.replay(&a, &mut os, &mut tool);
-        let mut os = Os::with_defaults(1 << 22);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let reused = replayer.replay(&b, &mut os, &mut tool);
-        assert_eq!(fresh, reused);
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl Cli {
         let result = if let Some(path) = &self.replay {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
-            let trace = Trace::from_text(&text).map_err(CliError)?;
+            let trace = Trace::from_text(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
             trace.replay(&mut os, tool.as_mut())
         } else {
             let workload = workload_by_name(&self.app)
@@ -1336,5 +1336,22 @@ mod tests {
         let (result, _) = replay.execute().unwrap();
         assert!(result.corruption_detected(), "{:?}", result.reports);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn replay_of_an_unbound_id_names_the_file_and_line() {
+        let dir = std::env::temp_dir().join("safemem-cli-bad-trace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("unbound.trace");
+        let path_str = path.to_str().unwrap().to_string();
+        std::fs::write(&path, "M 64 0x1\nW 7 0 8 0\n").unwrap();
+        let replay = parse(&["--replay", &path_str]).unwrap();
+        let err = replay.execute().unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            err.0.starts_with(&format!("{path_str}: line 2:")),
+            "{err:?}"
+        );
+        assert!(err.0.contains("not bound"), "{err:?}");
     }
 }
