@@ -1,14 +1,13 @@
-//! Thread-scaling benchmark for the sharded campaign runner: the same harsh
-//! matrix at 1, 2, and 4 workers, so the speedup (and any regression in it)
-//! is visible from `cargo bench` output across PRs. The committed
-//! `BENCH_campaign.json` at the repository root tracks the full 160-campaign
-//! acceptance run; regenerate it with
-//! `safemem-campaign --preset harsh --seeds 32 --bench-threads 1,4 --bench-json BENCH_campaign.json`.
+//! Thread-scaling microbenchmark for the sharded campaign runner: the same
+//! small harsh matrix at 1, 2, and 4 workers, so a change in pool overhead
+//! is visible from `cargo bench` output. End-to-end throughput of
+//! `safemem-campaign`'s presets is measured by `perfbench` (see
+//! `perfbench/README.md`), the repository's one comparable benchmark.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use safemem_faultinject::{expand_matrix, run_matrix, CampaignSpec};
+use safemem_faultinject::{expand_matrix, run_matrix_with, CampaignSpec, TraceMode};
 
 /// A matrix small enough for `cargo bench` to stay in seconds but large
 /// enough (8 cells) that sharding has work to distribute.
@@ -24,7 +23,8 @@ fn bench_campaign_matrix(c: &mut Criterion) {
             b.iter_custom(|iters| {
                 let start = Instant::now();
                 for _ in 0..iters {
-                    let report = run_matrix(black_box(&specs), threads).expect("matrix runs");
+                    let report = run_matrix_with(black_box(&specs), threads, TraceMode::Memoized)
+                        .expect("matrix runs");
                     assert_eq!(report.results.len(), specs.len());
                     black_box(report);
                 }

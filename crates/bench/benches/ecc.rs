@@ -1,11 +1,11 @@
 //! Microbenchmarks of the ECC memory fast path: the table-driven codec, the
 //! bulk (frame-at-a-time) controller read/write streams, and the cached-plan
 //! scrubber. These are the layers every simulated byte funnels through, so
-//! regressions here show up directly as campaign throughput (see
-//! `BENCH_campaign.json` at the repository root).
+//! regressions here show up directly as campaign throughput (measured end
+//! to end by `perfbench`; see `perfbench/README.md`).
 //!
 //! Set `ECC_BENCH_JSON=<path>` to also emit the results as a JSON record —
-//! CI uploads it alongside the campaign bench artifact.
+//! CI uploads it as a build artifact.
 
 use criterion::{black_box, Criterion};
 use safemem_ecc::{Codec, EccController, EccMode, ScrambleScheme};

@@ -49,7 +49,7 @@ use crate::oracle::{
     replay_safemem_columnar_with, CampaignError, GroundTruth, ToolScore, SAMPLING_STREAM,
 };
 use crate::rng::SmRng;
-use crate::runner::{execute, render_bench_json, BenchRun, TraceMode, WorkerReport};
+use crate::runner::{execute, reserve_cells, TraceMode, WorkerReport};
 use crate::spec::{CampaignSpec, FLEET_REQUESTS, FLEET_WORKLOADS};
 
 /// Default fleet size: big enough that at the 0.2 sampling rate the
@@ -72,7 +72,7 @@ pub fn expand_fleet(
     if processes == 0 {
         return Err(CampaignError("a fleet needs at least one process".into()));
     }
-    let mut specs = Vec::with_capacity(usize::try_from(processes).unwrap_or(usize::MAX));
+    let mut specs = reserve_cells(u128::from(processes), "--processes")?;
     for pid in 0..processes {
         let workload = FLEET_WORKLOADS[usize::try_from(pid % 3).expect("mod 3 fits")];
         let mut spec = CampaignSpec::fleet(workload, seed0.wrapping_add(pid));
@@ -307,55 +307,27 @@ pub struct FleetOutcome {
     pub boot_wall: Duration,
 }
 
-/// Runs the two-phase fleet campaign over `specs` (from [`expand_fleet`])
-/// with a single-machine (one-shard) phase A — the differential reference
-/// every sharded run is checked against.
+/// Runs the two-phase fleet campaign over `specs` (from [`expand_fleet`]).
 ///
-/// Phase A runs the whole fleet on one shared machine; phase B runs the
-/// per-process campaign cells on `threads` workers of the same executor as
-/// the matrix runner, recording each unique trace once under
-/// [`TraceMode::Memoized`] (three traces serve any fleet size) and folding
-/// every cell into the fixed-size [`FleetAgg`].
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] for an empty spec list, cells that disagree on
-/// requests or sampling rate, a non-churn workload, or the lowest-indexed
-/// cell failure.
-pub fn run_fleet(
-    specs: &[CampaignSpec],
-    threads: usize,
-    mode: TraceMode,
-) -> Result<FleetOutcome, CampaignError> {
-    run_fleet_corpus(specs, threads, 1, mode, None)
-}
-
-/// [`run_fleet`] with phase A partitioned into `shards` parallel shards,
-/// each owning its own machine sized to its processes' disjoint frame
-/// windows ([`Fleet::run_sharded`]). The merged shared-machine report —
-/// and therefore the whole scorecard — is byte-identical for every shard
-/// count; only the wall clock moves.
+/// Phase A runs the whole fleet on shared machines, partitioned into
+/// `shards` parallel shards, each owning its own machine sized to its
+/// processes' disjoint frame windows ([`Fleet::run_sharded`]); one shard is
+/// the single-machine reference. The merged shared-machine report — and
+/// therefore the whole scorecard — is byte-identical for every shard
+/// count; only the wall clock moves. Phase B runs the per-process campaign
+/// cells on `threads` workers of the same executor as the matrix runner,
+/// recording each unique trace once under [`TraceMode::Memoized`] (three
+/// traces serve any fleet size), or loading it from `corpus` when one is
+/// given (see
+/// [`run_matrix_streamed_corpus`](crate::stream::run_matrix_streamed_corpus)),
+/// and folding every cell into the fixed-size [`FleetAgg`]. The fleet
+/// scorecard is byte-identical with or without a corpus.
 ///
 /// # Errors
 ///
-/// Everything [`run_fleet`] can return, plus a zero shard count.
-pub fn run_fleet_sharded(
-    specs: &[CampaignSpec],
-    threads: usize,
-    shards: usize,
-    mode: TraceMode,
-) -> Result<FleetOutcome, CampaignError> {
-    run_fleet_corpus(specs, threads, shards, mode, None)
-}
-
-/// [`run_fleet_sharded`] with an optional [`TraceCorpus`] serving phase B's
-/// recorded traces (see
-/// [`run_matrix_streamed_corpus`](crate::stream::run_matrix_streamed_corpus)).
-/// The fleet scorecard is byte-identical with or without a corpus.
-///
-/// # Errors
-///
-/// Everything [`run_fleet_sharded`] can return, plus stringified
+/// Returns [`CampaignError`] for an empty spec list, a zero shard count,
+/// cells that disagree on requests or sampling rate, a non-churn workload,
+/// the lowest-indexed cell failure, or stringified
 /// [`CorpusError`](crate::corpus::CorpusError)s from corpus validation.
 pub fn run_fleet_corpus(
     specs: &[CampaignSpec],
@@ -541,119 +513,6 @@ pub fn render_fleet(outcome: &FleetOutcome) -> String {
     out
 }
 
-/// One fleet run at a given phase-A shard count, for the shard-scaling
-/// dimension of `BENCH_campaign.json`.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardRun {
-    /// Shards phase A was partitioned into.
-    pub shards: usize,
-    /// Wall time of the whole two-phase campaign.
-    pub wall: Duration,
-    /// Wall time of phase A alone (the sharded part).
-    pub boot_wall: Duration,
-    /// Campaign cells completed (the fleet size).
-    pub campaigns: u64,
-}
-
-/// Renders the shard-scaling records: wall/boot/replay split,
-/// throughput, and speedup relative to the first (reference) entry.
-fn write_shard_runs(out: &mut String, shard_runs: &[ShardRun]) {
-    let _ = writeln!(out, "    \"shard_runs\": [");
-    let first_wall = shard_runs.first().map_or(0.0, |r| r.wall.as_secs_f64());
-    for (i, run) in shard_runs.iter().enumerate() {
-        let wall = run.wall.as_secs_f64();
-        let boot = run.boot_wall.as_secs_f64();
-        let per_sec = if wall > 0.0 {
-            run.campaigns as f64 / wall
-        } else {
-            0.0
-        };
-        let speedup = if wall > 0.0 { first_wall / wall } else { 0.0 };
-        let comma = if i + 1 < shard_runs.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"shards\": {}, \"wall_ms\": {:.1}, \"boot_ms\": {:.1}, \
-             \"replay_ms\": {:.1}, \"campaigns_per_sec\": {per_sec:.2}, \
-             \"speedup_vs_first\": {speedup:.2}}}{comma}",
-            run.shards,
-            wall * 1e3,
-            boot * 1e3,
-            (wall - boot).max(0.0) * 1e3,
-        );
-    }
-    let _ = writeln!(out, "    ],");
-}
-
-/// Renders the `BENCH_campaign.json` schema with a `fleet` section appended
-/// to the thread-scaling records: the fleet shape, the phase-A
-/// shard-scaling grid, the shared-machine stats, and one record per class
-/// with the observed/predicted detection probabilities of the scorecard.
-#[must_use]
-pub fn render_fleet_bench_json(
-    preset: &str,
-    requests: Option<u64>,
-    runs: &[BenchRun],
-    shard_runs: &[ShardRun],
-    outcome: &FleetOutcome,
-) -> String {
-    let base = render_bench_json(preset, requests, runs);
-    let mut out = base
-        .strip_suffix("}\n")
-        .expect("render_bench_json ends with its closing brace")
-        .to_string();
-    while out.ends_with('\n') {
-        out.pop();
-    }
-    let agg = &outcome.agg;
-    let rate = agg.rate();
-    out.push_str(",\n  \"fleet\": {\n");
-    let _ = writeln!(out, "    \"processes\": {},", outcome.processes);
-    let _ = writeln!(out, "    \"requests\": {},", outcome.requests);
-    let _ = writeln!(out, "    \"rate\": {rate:.4},");
-    if !shard_runs.is_empty() {
-        write_shard_runs(&mut out, shard_runs);
-    }
-    let _ = writeln!(
-        out,
-        "    \"shared_phys_bytes\": {},",
-        outcome.shared.shared_phys_bytes
-    );
-    let _ = writeln!(
-        out,
-        "    \"machine_cycles\": {},",
-        outcome.shared.machine_cycles
-    );
-    let _ = writeln!(out, "    \"false_positives\": {},", agg.false_positives);
-    let _ = writeln!(
-        out,
-        "    \"ab_agreement\": {{\"agreed\": {}, \"checked\": {}}},",
-        agg.ab_agreed, agg.ab_checked
-    );
-    let _ = writeln!(out, "    \"classes\": [");
-    let present: Vec<(&str, &FleetClassAgg)> = FLEET_WORKLOADS
-        .iter()
-        .zip(&agg.classes)
-        .filter(|(_, c)| c.cells > 0)
-        .map(|(n, c)| (*n, c))
-        .collect();
-    for (i, (name, class)) in present.iter().enumerate() {
-        let comma = if i + 1 < present.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"class\": \"{name}\", \"processes\": {}, \"detected\": {}, \
-             \"observed\": {:.4}, \"predicted\": {rate:.4}, \"fleet_observed\": {:.4}, \
-             \"fleet_predicted\": {:.4}}}{comma}",
-            class.cells,
-            class.detected,
-            class.observed(),
-            class.fleet_observed(),
-            class.fleet_predicted(rate)
-        );
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,75 +553,5 @@ mod tests {
         let mut alien = specs;
         alien[0].workload = "tar".into();
         assert!(fleet_process_specs(&alien).is_err());
-    }
-
-    #[test]
-    fn fleet_bench_json_is_well_formed() {
-        let runs = [BenchRun {
-            threads: 2,
-            wall: Duration::from_millis(100),
-            campaigns: 6,
-            boot: Some(Duration::from_millis(40)),
-        }];
-        let mut agg = FleetAgg::new(FLEET_RATE_PPM);
-        agg.cells = 6;
-        agg.classes[0] = FleetClassAgg {
-            cells: 2,
-            detected: 1,
-            false_positives: 0,
-            sampled_allocs: 40,
-            total_allocs: 200,
-        };
-        agg.ab_checked = 4;
-        agg.ab_agreed = 4;
-        let outcome = FleetOutcome {
-            processes: 6,
-            requests: 48,
-            shared: FleetReport {
-                processes: 6,
-                requests: 48,
-                shared_phys_bytes: 6 * 32 * 4096,
-                machine_cycles: 1000,
-                process_cycles: 900,
-                page_faults: 10,
-                swap_ins: 0,
-                swap_outs: 0,
-                ecc: Default::default(),
-                tallies: Vec::new(),
-                detected: vec![false; 6],
-            },
-            agg,
-            workers: Vec::new(),
-            threads: 2,
-            shards: 1,
-            wall: Duration::from_millis(100),
-            boot_wall: Duration::from_millis(40),
-        };
-        let shard_runs = [
-            ShardRun {
-                shards: 1,
-                wall: Duration::from_millis(200),
-                boot_wall: Duration::from_millis(160),
-                campaigns: 6,
-            },
-            ShardRun {
-                shards: 8,
-                wall: Duration::from_millis(100),
-                boot_wall: Duration::from_millis(60),
-                campaigns: 6,
-            },
-        ];
-        let json = render_fleet_bench_json("fleet", Some(48), &runs, &shard_runs, &outcome);
-        assert!(json.contains("\"fleet\": {"), "{json}");
-        assert!(json.contains("\"processes\": 6"), "{json}");
-        assert!(json.contains("\"rate\": 0.2000"), "{json}");
-        assert!(json.contains("\"observed\": 0.5000"), "{json}");
-        assert!(json.contains("\"runs\": ["), "{json}");
-        assert!(json.contains("\"shard_runs\": ["), "{json}");
-        assert!(
-            json.contains("\"shards\": 8") && json.contains("\"speedup_vs_first\": 2.00"),
-            "{json}"
-        );
-        assert!(json.ends_with("  }\n}\n"), "{json}");
     }
 }

@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use crate::oracle::{CampaignError, CampaignResult};
-use crate::runner::{expand_matrix, render_bench_json, BenchRun};
+use crate::runner::{expand_matrix, reserve_cells};
 use crate::spec::CampaignSpec;
 use safemem_core::PPM;
 use safemem_workloads::BugClass;
@@ -60,7 +60,10 @@ pub fn expand_frontier(
         )));
     }
     let base = expand_matrix(preset, workloads, seeds, seed0, requests)?;
-    let mut specs = Vec::with_capacity(base.len() * rates_ppm.len());
+    let mut specs = reserve_cells(
+        base.len() as u128 * rates_ppm.len() as u128,
+        "--seeds with --sampling",
+    )?;
     for &rate in rates_ppm {
         for spec in &base {
             let mut spec = spec.clone();
@@ -308,52 +311,6 @@ pub fn render_frontier(rows: &[FrontierRow]) -> String {
     out
 }
 
-/// Renders the `BENCH_campaign.json` schema with a `frontier` section
-/// appended to the thread-scaling records: one JSON object per rate with
-/// the detection probabilities, false-positive count, and overhead
-/// columns of the table.
-#[must_use]
-pub fn render_frontier_bench_json(
-    preset: &str,
-    requests: Option<u64>,
-    runs: &[BenchRun],
-    rows: &[FrontierRow],
-) -> String {
-    let base = render_bench_json(preset, requests, runs);
-    let mut out = base
-        .strip_suffix("}\n")
-        .expect("render_bench_json ends with its closing brace")
-        .to_string();
-    // Re-open the object: the base ends with the closed `runs` array.
-    while out.ends_with('\n') {
-        out.pop();
-    }
-    out.push_str(",\n  \"frontier\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"rate\": {:.4}, \"campaigns\": {}, \"sampled_allocs\": {}, \
-             \"total_allocs\": {}, \"detection\": {{\"leak\": {:.4}, \"overflow\": {:.4}, \
-             \"uaf\": {:.4}, \"double_free\": {:.4}}}, \"false_positives\": {}, \
-             \"cpu_overhead_pct\": {:.1}, \"mem_overhead_pct\": {:.1}}}{comma}",
-            row.rate(),
-            row.campaigns,
-            row.sampled_allocs,
-            row.total_allocs,
-            row.leak.probability(),
-            row.overflow.probability(),
-            row.uaf.probability(),
-            row.double_free.probability(),
-            row.false_positives,
-            row.cpu_overhead_percent(),
-            row.memory_overhead_percent(),
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,39 +330,5 @@ mod tests {
         assert!(expand_frontier("frontier", &[], &workloads, 1, 0, None).is_err());
         assert!(expand_frontier("frontier", &[PPM + 1], &workloads, 1, 0, None).is_err());
         assert!(expand_frontier("nope", &[PPM], &workloads, 1, 0, None).is_err());
-    }
-
-    #[test]
-    fn frontier_bench_json_is_well_formed() {
-        use std::time::Duration;
-        let runs = [BenchRun {
-            threads: 1,
-            wall: Duration::from_millis(100),
-            campaigns: 4,
-            boot: None,
-        }];
-        let rows = [FrontierRow {
-            rate_ppm: 500_000,
-            campaigns: 4,
-            total_allocs: 1000,
-            sampled_allocs: 493,
-            leak: ClassTally { total: 4, found: 2 },
-            overflow: ClassTally { total: 2, found: 1 },
-            uaf: ClassTally::default(),
-            double_free: ClassTally::default(),
-            false_positives: 0,
-            safemem_cycles: 150,
-            baseline_cycles: 100,
-            waste_bytes: 50,
-            payload_bytes: 100,
-        }];
-        let json = render_frontier_bench_json("frontier", Some(128), &runs, &rows);
-        assert!(json.contains("\"frontier\": ["), "{json}");
-        assert!(json.contains("\"rate\": 0.5000"), "{json}");
-        assert!(json.contains("\"leak\": 0.5000"), "{json}");
-        assert!(json.contains("\"cpu_overhead_pct\": 50.0"), "{json}");
-        assert!(json.ends_with("  ]\n}\n"), "{json}");
-        // Both sections coexist.
-        assert!(json.contains("\"runs\": ["), "{json}");
     }
 }

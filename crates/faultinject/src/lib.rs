@@ -30,6 +30,10 @@
 //!   byte-identical for any thread count;
 //! * [`scorecard`] — byte-stable rendering, per campaign and aggregated.
 //!
+//! This crate reports each run's wall time and worker balance beside the
+//! scorecard but does not benchmark itself; throughput is measured by the
+//! repository's `perfbench` harness (see `perfbench/README.md`).
+//!
 //! Determinism contract: no wall-clock, no global RNG; every injection
 //! decision is a pure function of `(campaign seed, operation index)`. The
 //! same spec therefore yields a byte-identical scorecard — for any worker
@@ -54,13 +58,11 @@ pub use corpus::{
     corpus_checksum, obtain_campaign_trace, CorpusError, CorpusMode, TraceCorpus, CORPUS_MAGIC,
 };
 pub use fleet::{
-    expand_fleet, fleet_process_specs, render_fleet, render_fleet_bench_json, run_fleet,
-    run_fleet_corpus, run_fleet_sharded, FleetAgg, FleetClassAgg, FleetOutcome, ShardRun,
-    DEFAULT_FLEET_PROCESSES,
+    expand_fleet, fleet_process_specs, render_fleet, run_fleet_corpus, FleetAgg, FleetClassAgg,
+    FleetOutcome, DEFAULT_FLEET_PROCESSES,
 };
 pub use frontier::{
-    expand_frontier, frontier_rows, render_frontier, render_frontier_bench_json, ClassTally,
-    FrontierRow, FRONTIER_RATES_PPM,
+    expand_frontier, frontier_rows, render_frontier, ClassTally, FrontierRow, FRONTIER_RATES_PPM,
 };
 pub use inject::{InjectionLog, Injector};
 pub use oracle::{
@@ -70,15 +72,13 @@ pub use oracle::{
 };
 pub use rng::SmRng;
 pub use runner::{
-    default_threads, expand_matrix, render_bench_json, run_matrix, run_matrix_with, BenchRun,
-    MatrixReport, TraceKey, TraceMode, WorkerReport,
+    default_threads, expand_matrix, run_matrix_with, MatrixReport, TraceKey, TraceMode,
+    WorkerReport,
 };
-pub use scorecard::{render_aggregate, render_campaign, render_worker_table, render_workers};
+pub use scorecard::{render_aggregate, render_campaign, render_worker_table};
 pub use spec::{CampaignSpec, FaultMix};
-pub use stream::{
-    run_matrix_streamed, run_matrix_streamed_corpus, StreamAggregate, StreamReport, ToolSums,
-};
+pub use stream::{run_matrix_streamed_corpus, StreamAggregate, StreamReport, ToolSums};
 pub use sweep::{
-    render_fleet_sweep, run_fleet_sweep, splice_sweep_json, SweepConfig, SweepKnee, SweepOutcome,
-    SweepPoint, SWEEP_DETECTION_TARGET, SWEEP_FLEET_SIZES, SWEEP_RATES_PPM,
+    render_fleet_sweep, run_fleet_sweep, SweepConfig, SweepKnee, SweepOutcome, SweepPoint,
+    SWEEP_DETECTION_TARGET, SWEEP_FLEET_SIZES, SWEEP_RATES_PPM,
 };

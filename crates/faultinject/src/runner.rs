@@ -93,7 +93,7 @@ pub fn expand_matrix(
             return Err(CampaignError(format!("unknown workload {name:?}")));
         }
     }
-    let mut specs = Vec::with_capacity(usize::try_from(seeds).unwrap_or(usize::MAX));
+    let mut specs = reserve_cells(u128::from(seeds) * workloads.len() as u128, "--seeds")?;
     for i in 0..seeds {
         let seed = seed0.wrapping_add(i);
         for workload in workloads {
@@ -109,6 +109,23 @@ pub fn expand_matrix(
             specs.push(spec);
         }
     }
+    Ok(specs)
+}
+
+/// An empty spec list with room for `cells` campaign cells. Callers pass
+/// the product of their dimensions widened to `u128`, which cannot
+/// overflow; a count the host cannot hold is a [`CampaignError`] naming
+/// `flag` and the count, not an allocation failure that aborts the process.
+pub(crate) fn reserve_cells(cells: u128, flag: &str) -> Result<Vec<CampaignSpec>, CampaignError> {
+    let mut specs = Vec::new();
+    usize::try_from(cells)
+        .ok()
+        .and_then(|n| specs.try_reserve_exact(n).ok())
+        .ok_or_else(|| {
+            CampaignError(format!(
+                "{flag} asks for {cells} campaign cells, more than this host can hold"
+            ))
+        })?;
     Ok(specs)
 }
 
@@ -366,18 +383,6 @@ pub(crate) fn execute<T: CellOutput>(
     Ok(workers)
 }
 
-/// Runs every spec in the matrix across `threads` workers and reassembles
-/// the results in cell order, sharing recorded traces ([`TraceMode::Memoized`]).
-///
-/// # Errors
-///
-/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
-/// remaining cells still run), so the reported error does not depend on
-/// scheduling either.
-pub fn run_matrix(specs: &[CampaignSpec], threads: usize) -> Result<MatrixReport, CampaignError> {
-    run_matrix_with(specs, threads, TraceMode::default())
-}
-
 /// Runs every spec in the matrix across `threads` workers (`execute`) and
 /// collects the results in cell order.
 ///
@@ -416,85 +421,6 @@ pub fn run_matrix_with(
         workers,
         wall: start.elapsed(),
     })
-}
-
-/// One timed matrix run inside a thread-scaling measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BenchRun {
-    /// Worker threads requested.
-    pub threads: usize,
-    /// Wall time for the whole matrix at this thread count.
-    pub wall: Duration,
-    /// Campaign cells executed.
-    pub campaigns: usize,
-    /// Wall time of a sequential boot phase preceding the sharded
-    /// record/replay work (the fleet preset's shared-machine phase A).
-    /// `None` for single-phase presets. When present, the bench JSON
-    /// reports the replay phase's throughput separately, since boot time
-    /// does not shrink with threads.
-    pub boot: Option<Duration>,
-}
-
-/// Renders thread-scaling measurements as the `BENCH_campaign.json` schema:
-/// one record per thread count with wall time, throughput, and speedup
-/// relative to the first run (conventionally 1 thread). `host_threads`
-/// records the machine's available parallelism so a flat curve on a
-/// single-core host is self-explaining.
-#[must_use]
-pub fn render_bench_json(preset: &str, requests: Option<u64>, runs: &[BenchRun]) -> String {
-    use std::fmt::Write as _;
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"safemem-campaign\",");
-    let _ = writeln!(out, "  \"preset\": \"{preset}\",");
-    match requests {
-        Some(n) => {
-            let _ = writeln!(out, "  \"requests\": {n},");
-        }
-        None => {
-            let _ = writeln!(out, "  \"requests\": null,");
-        }
-    }
-    let _ = writeln!(out, "  \"host_threads\": {},", default_threads());
-    let _ = writeln!(out, "  \"runs\": [");
-    let base = runs.first().map(|r| r.wall);
-    for (i, run) in runs.iter().enumerate() {
-        let wall_ms = run.wall.as_secs_f64() * 1e3;
-        let per_sec = if run.wall.is_zero() {
-            0.0
-        } else {
-            run.campaigns as f64 / run.wall.as_secs_f64()
-        };
-        let speedup = match base {
-            Some(b) if !run.wall.is_zero() => b.as_secs_f64() / run.wall.as_secs_f64(),
-            _ => 1.0,
-        };
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let phase_split = run.boot.map_or_else(String::new, |boot| {
-            let replay = run.wall.saturating_sub(boot);
-            let replay_per_sec = if replay.is_zero() {
-                0.0
-            } else {
-                run.campaigns as f64 / replay.as_secs_f64()
-            };
-            format!(
-                ", \"boot_ms\": {:.1}, \"replay_ms\": {:.1}, \
-                 \"replay_campaigns_per_sec\": {replay_per_sec:.2}",
-                boot.as_secs_f64() * 1e3,
-                replay.as_secs_f64() * 1e3,
-            )
-        });
-        let _ = writeln!(
-            out,
-            "    {{\"threads\": {}, \"campaigns\": {}, \"wall_ms\": {wall_ms:.1}, \
-             \"campaigns_per_sec\": {per_sec:.2}{phase_split}, \
-             \"speedup_vs_first\": {speedup:.2}}}{comma}",
-            run.threads, run.campaigns
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -543,9 +469,20 @@ mod tests {
     }
 
     #[test]
+    fn cell_counts_beyond_the_host_are_an_error() {
+        let cells = u128::from(u64::MAX) * 6;
+        let err = reserve_cells(cells, "--seeds with --sampling").expect_err("too many cells");
+        assert_eq!(
+            err.0,
+            format!("--seeds with --sampling asks for {cells} campaign cells, more than this host can hold")
+        );
+        assert!(reserve_cells(4, "--seeds").expect("small").capacity() >= 4);
+    }
+
+    #[test]
     fn every_cell_runs_exactly_once_and_in_order() {
         let specs = fast_specs();
-        let report = run_matrix(&specs, 3).expect("matrix runs");
+        let report = run_matrix_with(&specs, 3, TraceMode::Memoized).expect("matrix runs");
         assert_eq!(report.results.len(), specs.len());
         for (result, spec) in report.results.iter().zip(&specs) {
             assert_eq!(&result.spec, spec, "results come back in cell order");
@@ -584,31 +521,8 @@ mod tests {
     #[test]
     fn oversubscribed_pool_caps_at_cell_count() {
         let specs = fast_specs();
-        let report = run_matrix(&specs, 64).expect("matrix runs");
+        let report = run_matrix_with(&specs, 64, TraceMode::Memoized).expect("matrix runs");
         assert_eq!(report.threads, specs.len());
         assert_eq!(report.workers.len(), specs.len());
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let runs = [
-            BenchRun {
-                threads: 1,
-                wall: Duration::from_millis(400),
-                campaigns: 8,
-                boot: None,
-            },
-            BenchRun {
-                threads: 4,
-                wall: Duration::from_millis(100),
-                campaigns: 8,
-                boot: None,
-            },
-        ];
-        let json = render_bench_json("harsh", Some(128), &runs);
-        assert!(json.contains("\"speedup_vs_first\": 4.00"), "{json}");
-        assert!(json.contains("\"campaigns_per_sec\": 20.00"), "{json}");
-        assert!(json.contains("\"requests\": 128"), "{json}");
-        assert_eq!(json.matches("\"threads\"").count(), 2, "{json}");
     }
 }

@@ -8,7 +8,6 @@
 use std::fmt::Write as _;
 
 use crate::oracle::{CampaignResult, ToolScore};
-use crate::runner::MatrixReport;
 
 /// Renders one campaign as a multi-line scorecard.
 #[must_use]
@@ -130,27 +129,14 @@ pub fn render_aggregate(results: &[CampaignResult]) -> String {
     aggregate.render()
 }
 
-/// Renders the execution telemetry of a sharded matrix run: per-worker cell
-/// counts, busy time, and injection-event totals.
+/// Renders the execution telemetry of a sharded run from its parts:
+/// per-worker cell counts, busy time, and injection-event totals.
 ///
 /// Unlike every other renderer in this module, this output is **not**
 /// deterministic — which cells land on which worker, and how long they take,
 /// depend on host scheduling. It is therefore never part of the scorecard
 /// that `tests/parallel_determinism.rs` compares byte-for-byte; callers
 /// print it after the aggregate, clearly separated.
-#[must_use]
-pub fn render_workers(report: &MatrixReport) -> String {
-    render_worker_table(
-        report.results.len(),
-        report.threads,
-        report.wall,
-        &report.workers,
-    )
-}
-
-/// [`render_workers`] over bare parts, for runs that do not keep a
-/// [`MatrixReport`] (the streaming and fleet runners fold their results away
-/// instead of collecting them).
 #[must_use]
 pub fn render_worker_table(
     campaigns: usize,

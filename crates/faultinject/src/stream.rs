@@ -298,29 +298,17 @@ pub struct StreamReport {
 /// collected (returned in cell order) — that path is deliberately *not*
 /// bounded, and callers opt into it per run.
 ///
+/// With a [`TraceCorpus`], recorded traces come from (and, in writable
+/// modes, go to) the corpus instead of always being re-recorded. The
+/// scorecard is byte-identical with or without a corpus — only the
+/// recording phase's work changes.
+///
 /// # Errors
 ///
 /// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
-/// remaining cells still run), exactly like the collected runner.
-pub fn run_matrix_streamed(
-    specs: &[CampaignSpec],
-    threads: usize,
-    mode: TraceMode,
-    verbose: bool,
-    aggregate: StreamAggregate,
-) -> Result<StreamReport, CampaignError> {
-    run_matrix_streamed_corpus(specs, threads, mode, verbose, aggregate, None)
-}
-
-/// [`run_matrix_streamed`] with an optional [`TraceCorpus`]: recorded traces
-/// come from (and, in writable modes, go to) the corpus instead of always
-/// being re-recorded. The scorecard is byte-identical with or without a
-/// corpus — only the recording phase's work changes.
-///
-/// # Errors
-///
-/// Everything [`run_matrix_streamed`] can return, plus stringified
-/// [`CorpusError`](crate::corpus::CorpusError)s from corpus validation.
+/// remaining cells still run), exactly like the collected runner, plus
+/// stringified [`CorpusError`](crate::corpus::CorpusError)s from corpus
+/// validation.
 pub fn run_matrix_streamed_corpus(
     specs: &[CampaignSpec],
     threads: usize,
@@ -380,12 +368,13 @@ mod tests {
     fn streamed_scorecard_matches_the_collected_one() {
         let specs = fast_specs();
         let collected = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
-        let streamed = run_matrix_streamed(
+        let streamed = run_matrix_streamed_corpus(
             &specs,
             3,
             TraceMode::Memoized,
             false,
             StreamAggregate::new(),
+            None,
         )
         .expect("matrix runs");
         assert_eq!(
@@ -404,12 +393,13 @@ mod tests {
         let specs = expand_frontier("frontier", &[PPM, 100_000], &workloads, 1, 0, Some(24))
             .expect("valid ladder");
         let collected = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
-        let streamed = run_matrix_streamed(
+        let streamed = run_matrix_streamed_corpus(
             &specs,
             2,
             TraceMode::Memoized,
             false,
             StreamAggregate::with_frontier(&specs),
+            None,
         )
         .expect("matrix runs");
         let reference = {
@@ -426,9 +416,15 @@ mod tests {
     #[test]
     fn verbose_cards_come_back_in_cell_order() {
         let specs = fast_specs();
-        let streamed =
-            run_matrix_streamed(&specs, 3, TraceMode::Memoized, true, StreamAggregate::new())
-                .expect("matrix runs");
+        let streamed = run_matrix_streamed_corpus(
+            &specs,
+            3,
+            TraceMode::Memoized,
+            true,
+            StreamAggregate::new(),
+            None,
+        )
+        .expect("matrix runs");
         let indices: Vec<usize> = streamed.cards.iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, (0..specs.len()).collect::<Vec<_>>());
         for ((_, card), spec) in streamed.cards.iter().zip(&specs) {
@@ -444,12 +440,13 @@ mod tests {
         let mut specs = fast_specs();
         specs[1].workload = "nginx".into();
         let collected = run_matrix_with(&specs, 2, TraceMode::Memoized).expect_err("bad cell");
-        let streamed = run_matrix_streamed(
+        let streamed = run_matrix_streamed_corpus(
             &specs,
             2,
             TraceMode::Memoized,
             false,
             StreamAggregate::new(),
+            None,
         )
         .expect_err("bad cell");
         assert_eq!(collected, streamed);

@@ -368,70 +368,6 @@ pub fn render_fleet_sweep(outcome: &SweepOutcome) -> String {
     out
 }
 
-/// Splices a `fleet_sweep` section into a rendered `BENCH_campaign.json`
-/// (the output of
-/// [`render_fleet_bench_json`](crate::fleet::render_fleet_bench_json)):
-/// the grid points, the knees, and the verdict.
-#[must_use]
-pub fn splice_sweep_json(base: &str, outcome: &SweepOutcome) -> String {
-    let mut out = base
-        .strip_suffix("}\n")
-        .expect("bench JSON ends with its closing brace")
-        .to_string();
-    while out.ends_with('\n') {
-        out.pop();
-    }
-    out.push_str(",\n  \"fleet_sweep\": {\n");
-    let _ = writeln!(out, "    \"requests\": {},", outcome.requests);
-    let _ = writeln!(
-        out,
-        "    \"detection_target\": {:.2},",
-        outcome.detection_target
-    );
-    let _ = writeln!(
-        out,
-        "    \"invariants_hold\": {},",
-        outcome.invariants_hold()
-    );
-    let _ = writeln!(out, "    \"points\": [");
-    for (i, p) in outcome.points.iter().enumerate() {
-        let comma = if i + 1 < outcome.points.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "      {{\"rate\": {:.4}, \"processes\": {}, \"detected\": {}, \
-             \"fleet_observed\": {:.4}, \"fleet_predicted\": {:.4}, \"in_band\": {}, \
-             \"false_positives\": {}}}{comma}",
-            p.rate(),
-            p.processes,
-            p.detected,
-            p.fleet_observed(),
-            p.fleet_predicted(),
-            p.in_band,
-            p.false_positives
-        );
-    }
-    let _ = writeln!(out, "    ],");
-    let _ = writeln!(out, "    \"knees\": [");
-    for (i, k) in outcome.knees.iter().enumerate() {
-        let comma = if i + 1 < outcome.knees.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"rate\": {:.4}, \"knee_processes\": {}}}{comma}",
-            f64::from(k.rate_ppm) / f64::from(PPM),
-            match k.knee_processes {
-                Some(n) => n.to_string(),
-                None => "null".into(),
-            }
-        );
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,16 +452,5 @@ mod tests {
         let mut config = tiny_config();
         config.detection_target = 1.5;
         assert!(run_fleet_sweep(&config, 1, None).is_err());
-    }
-
-    #[test]
-    fn sweep_json_splices_into_the_bench_schema() {
-        let outcome = run_fleet_sweep(&tiny_config(), 2, None).expect("sweep runs");
-        let base = "{\n  \"bench\": \"safemem-campaign\"\n}\n";
-        let json = splice_sweep_json(base, &outcome);
-        assert!(json.contains("\"fleet_sweep\": {"), "{json}");
-        assert!(json.contains("\"knees\": ["), "{json}");
-        assert!(json.contains("\"in_band\": true"), "{json}");
-        assert!(json.ends_with("  }\n}\n"), "{json}");
     }
 }

@@ -3,9 +3,9 @@
 //! accounting, and the bounded-memory aggregation.
 
 use safemem_faultinject::{
-    expand_fleet, fleet_process_specs, render_fleet, render_fleet_bench_json, run_fleet,
-    run_fleet_corpus, run_fleet_sharded, run_fleet_sweep, BenchRun, CampaignSpec, CorpusMode,
-    SmRng, SweepConfig, TraceCorpus, TraceKey, TraceMode, SAMPLING_STREAM,
+    expand_fleet, fleet_process_specs, render_fleet, run_fleet_corpus, run_fleet_sweep,
+    CampaignSpec, CorpusMode, SmRng, SweepConfig, TraceCorpus, TraceKey, TraceMode,
+    SAMPLING_STREAM,
 };
 use safemem_fleet::{Fleet, FleetConfig};
 
@@ -16,7 +16,7 @@ const SMALL_FLEET: u64 = 24;
 #[test]
 fn fleet_campaign_upholds_the_invariants() {
     let specs = expand_fleet(SMALL_FLEET, 0, None).expect("valid fleet");
-    let outcome = run_fleet(&specs, 2, TraceMode::Memoized).expect("fleet runs");
+    let outcome = run_fleet_corpus(&specs, 2, 1, TraceMode::Memoized, None).expect("fleet runs");
 
     assert_eq!(outcome.processes, SMALL_FLEET);
     assert_eq!(outcome.agg.cells, SMALL_FLEET);
@@ -57,8 +57,8 @@ fn fleet_campaign_upholds_the_invariants() {
 #[test]
 fn fleet_scorecard_is_deterministic_and_greppable() {
     let specs = expand_fleet(SMALL_FLEET, 0, None).expect("valid fleet");
-    let a = run_fleet(&specs, 1, TraceMode::Memoized).expect("fleet runs");
-    let b = run_fleet(&specs, 4, TraceMode::Memoized).expect("fleet runs");
+    let a = run_fleet_corpus(&specs, 1, 1, TraceMode::Memoized, None).expect("fleet runs");
+    let b = run_fleet_corpus(&specs, 4, 1, TraceMode::Memoized, None).expect("fleet runs");
     let card_a = render_fleet(&a);
     let card_b = render_fleet(&b);
     assert_eq!(
@@ -80,28 +80,13 @@ fn fleet_scorecard_is_deterministic_and_greppable() {
         "{card_a}"
     );
     assert!(card_a.contains("predicted 1-(1-r)^n"), "{card_a}");
-
-    let json = render_fleet_bench_json(
-        "fleet",
-        None,
-        &[BenchRun {
-            threads: 1,
-            wall: a.wall,
-            campaigns: SMALL_FLEET as usize,
-            boot: Some(a.boot_wall),
-        }],
-        &[],
-        &a,
-    );
-    assert!(json.contains("\"fleet\": {"), "{json}");
-    assert!(json.contains("\"rate\": 0.2000"), "{json}");
 }
 
 #[test]
 fn fresh_record_mode_agrees_with_memoized() {
     let specs = expand_fleet(6, 3, Some(48)).expect("valid fleet");
-    let memo = run_fleet(&specs, 2, TraceMode::Memoized).expect("fleet runs");
-    let fresh = run_fleet(&specs, 2, TraceMode::FreshRecord).expect("fleet runs");
+    let memo = run_fleet_corpus(&specs, 2, 1, TraceMode::Memoized, None).expect("fleet runs");
+    let fresh = run_fleet_corpus(&specs, 2, 1, TraceMode::FreshRecord, None).expect("fleet runs");
     assert_eq!(memo.agg, fresh.agg);
     let recorded: usize = fresh.workers.iter().map(|w| w.traces_recorded).sum();
     assert_eq!(recorded, 6, "fresh mode records per cell");
@@ -113,7 +98,7 @@ fn detection_follows_the_sampling_decision_across_phases() {
     // compute the phase-B detection and the phase-A detection separately
     // and compare — the aggregate's ab counters must equal a manual tally.
     let specs = expand_fleet(12, 7, Some(48)).expect("valid fleet");
-    let outcome = run_fleet(&specs, 3, TraceMode::Memoized).expect("fleet runs");
+    let outcome = run_fleet_corpus(&specs, 3, 1, TraceMode::Memoized, None).expect("fleet runs");
     assert_eq!(outcome.agg.ab_checked, 8);
     assert_eq!(outcome.agg.ab_agreed, 8);
     // And the per-process sampling seeds really are the oracle derivation.
@@ -132,10 +117,10 @@ fn sharded_campaign_matches_the_single_machine_reference() {
     // report, phase-B aggregate, scorecard bytes — is identical whether
     // phase A ran on one machine or several.
     let specs = expand_fleet(12, 0, Some(48)).expect("valid fleet");
-    let reference = run_fleet(&specs, 2, TraceMode::Memoized).expect("fleet runs");
+    let reference = run_fleet_corpus(&specs, 2, 1, TraceMode::Memoized, None).expect("fleet runs");
     for shards in [2usize, 8] {
         let sharded =
-            run_fleet_sharded(&specs, 2, shards, TraceMode::Memoized).expect("fleet runs");
+            run_fleet_corpus(&specs, 2, shards, TraceMode::Memoized, None).expect("fleet runs");
         assert_eq!(reference.shared, sharded.shared, "{shards} shards");
         assert_eq!(reference.agg, sharded.agg, "{shards} shards");
         assert_eq!(
@@ -179,21 +164,24 @@ fn epoch_batched_and_eager_leak_checks_detect_identically_on_the_fleet_path() {
 
 #[test]
 fn run_fleet_validates_its_specs() {
-    assert!(run_fleet(&[], 1, TraceMode::Memoized).is_err(), "empty");
+    assert!(
+        run_fleet_corpus(&[], 1, 1, TraceMode::Memoized, None).is_err(),
+        "empty"
+    );
     let mut mixed_rates = expand_fleet(2, 0, None).expect("valid fleet");
     mixed_rates[1].sampling_ppm = 1_000_000;
     assert!(
-        run_fleet(&mixed_rates, 1, TraceMode::Memoized).is_err(),
+        run_fleet_corpus(&mixed_rates, 1, 1, TraceMode::Memoized, None).is_err(),
         "cells must share one rate"
     );
     let alien = vec![CampaignSpec::fleet("tar", 0)];
     assert!(
-        run_fleet(&alien, 1, TraceMode::Memoized).is_err(),
+        run_fleet_corpus(&alien, 1, 1, TraceMode::Memoized, None).is_err(),
         "non-churn workloads are rejected"
     );
     let valid = expand_fleet(2, 0, None).expect("valid fleet");
     assert!(
-        run_fleet_sharded(&valid, 1, 0, TraceMode::Memoized).is_err(),
+        run_fleet_corpus(&valid, 1, 0, TraceMode::Memoized, None).is_err(),
         "zero shards are rejected"
     );
 }

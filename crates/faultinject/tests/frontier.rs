@@ -15,8 +15,8 @@ use std::sync::OnceLock;
 
 use safemem_core::{SamplingPlan, PPM};
 use safemem_faultinject::{
-    expand_frontier, frontier_rows, render_campaign, render_frontier, run_matrix, FrontierRow,
-    MatrixReport, SmRng, FRONTIER_RATES_PPM, SAMPLING_STREAM,
+    expand_frontier, frontier_rows, render_campaign, render_frontier, run_matrix_with, FrontierRow,
+    MatrixReport, SmRng, TraceMode, FRONTIER_RATES_PPM, SAMPLING_STREAM,
 };
 
 const SEEDS: u64 = 8;
@@ -38,7 +38,7 @@ fn ladder_matrix() -> &'static MatrixReport {
             Some(FAST_REQUESTS),
         )
         .expect("valid ladder");
-        run_matrix(&specs, 4).expect("ladder matrix runs")
+        run_matrix_with(&specs, 4, TraceMode::Memoized).expect("ladder matrix runs")
     })
 }
 

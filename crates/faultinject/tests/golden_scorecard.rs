@@ -11,7 +11,7 @@
 
 use safemem_faultinject::{
     expand_fleet, expand_frontier, expand_matrix, frontier_rows, render_aggregate, render_campaign,
-    render_fleet, render_frontier, run_fleet, run_matrix, TraceMode,
+    render_fleet, render_frontier, run_fleet_corpus, run_matrix_with, TraceMode,
 };
 
 /// The 8 fixed seeds are 0..8; request count matches the fast suites so the
@@ -50,7 +50,7 @@ fn render_matrix(preset: &str, workloads: &[String], requests: Option<u64>) -> S
     let specs = expand_matrix(preset, workloads, SEEDS, 0, requests).expect("valid matrix");
     // Two workers: the golden path exercises the sharded runner, and the
     // parallel-determinism suite guarantees the count cannot matter.
-    let report = run_matrix(&specs, 2).expect("matrix runs");
+    let report = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
     let mut out = String::new();
     for result in &report.results {
         out.push_str(&render_campaign(result));
@@ -93,7 +93,7 @@ fn current_frontier_scorecard() -> String {
         Some(FAST_REQUESTS),
     )
     .expect("valid ladder");
-    let report = run_matrix(&specs, 2).expect("matrix runs");
+    let report = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
     let mut out = render_aggregate(&report.results);
     out.push_str(&render_frontier(&frontier_rows(&report.results)));
     out
@@ -201,7 +201,7 @@ fn current_fleet_scorecard() -> String {
     // per-class observed-vs-predicted table, the fleet-level detection
     // probabilities, the A/B cross-check, and the verdict line.
     let specs = expand_fleet(FLEET_GOLDEN_PROCESSES, 0, None).expect("valid fleet");
-    let outcome = run_fleet(&specs, 2, TraceMode::Memoized).expect("fleet runs");
+    let outcome = run_fleet_corpus(&specs, 2, 1, TraceMode::Memoized, None).expect("fleet runs");
     render_fleet(&outcome)
 }
 

@@ -9,8 +9,8 @@
 
 use safemem_faultinject::{
     expand_fleet, expand_frontier, expand_matrix, frontier_rows, render_aggregate, render_campaign,
-    render_fleet, render_frontier, run_fleet, run_fleet_sharded, run_matrix, CampaignSpec,
-    MatrixReport, TraceMode,
+    render_fleet, render_frontier, run_fleet_corpus, run_matrix_with, CampaignSpec, MatrixReport,
+    TraceMode,
 };
 
 /// Small request counts keep each campaign to tens of milliseconds while
@@ -46,9 +46,9 @@ fn scorecard(report: &MatrixReport) -> String {
 #[test]
 fn scorecards_are_byte_identical_for_1_2_and_8_threads() {
     let specs = harsh_matrix();
-    let t1 = run_matrix(&specs, 1).expect("matrix runs");
-    let t2 = run_matrix(&specs, 2).expect("matrix runs");
-    let t8 = run_matrix(&specs, 8).expect("matrix runs");
+    let t1 = run_matrix_with(&specs, 1, TraceMode::Memoized).expect("matrix runs");
+    let t2 = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
+    let t8 = run_matrix_with(&specs, 8, TraceMode::Memoized).expect("matrix runs");
 
     let (s1, s2, s8) = (scorecard(&t1), scorecard(&t2), scorecard(&t8));
     assert!(!s1.is_empty());
@@ -65,9 +65,9 @@ fn arena_scorecards_are_byte_identical_for_1_2_and_8_threads() {
     // Recovery adds healing state (quarantine, incident records) to the
     // replay; the survival rows must still be a pure function of the matrix.
     let specs = arena_matrix();
-    let t1 = run_matrix(&specs, 1).expect("matrix runs");
-    let t2 = run_matrix(&specs, 2).expect("matrix runs");
-    let t8 = run_matrix(&specs, 8).expect("matrix runs");
+    let t1 = run_matrix_with(&specs, 1, TraceMode::Memoized).expect("matrix runs");
+    let t2 = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
+    let t8 = run_matrix_with(&specs, 8, TraceMode::Memoized).expect("matrix runs");
 
     let (s1, s2, s8) = (scorecard(&t1), scorecard(&t2), scorecard(&t8));
     assert!(s1.contains("survival["), "arena renders survival rows");
@@ -95,9 +95,9 @@ fn frontier_scorecards_are_byte_identical_for_1_2_and_8_threads() {
     // The frontier adds a rate dimension to the matrix and a rendered rate
     // table to the scorecard; both must stay pure functions of the specs.
     let specs = frontier_matrix();
-    let t1 = run_matrix(&specs, 1).expect("matrix runs");
-    let t2 = run_matrix(&specs, 2).expect("matrix runs");
-    let t8 = run_matrix(&specs, 8).expect("matrix runs");
+    let t1 = run_matrix_with(&specs, 1, TraceMode::Memoized).expect("matrix runs");
+    let t2 = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
+    let t8 = run_matrix_with(&specs, 8, TraceMode::Memoized).expect("matrix runs");
 
     let full = |report: &MatrixReport| {
         let mut out = scorecard(report);
@@ -120,9 +120,9 @@ fn fleet_scorecards_are_byte_identical_for_1_2_and_8_shards() {
     // function of its own history, and the merge reassembles canonical pid
     // order.
     let specs = expand_fleet(12, 0, Some(FAST_REQUESTS)).expect("valid fleet");
-    let s1 = run_fleet_sharded(&specs, 2, 1, TraceMode::Memoized).expect("fleet runs");
-    let s2 = run_fleet_sharded(&specs, 2, 2, TraceMode::Memoized).expect("fleet runs");
-    let s8 = run_fleet_sharded(&specs, 2, 8, TraceMode::Memoized).expect("fleet runs");
+    let s1 = run_fleet_corpus(&specs, 2, 1, TraceMode::Memoized, None).expect("fleet runs");
+    let s2 = run_fleet_corpus(&specs, 2, 2, TraceMode::Memoized, None).expect("fleet runs");
+    let s8 = run_fleet_corpus(&specs, 2, 8, TraceMode::Memoized, None).expect("fleet runs");
 
     let (c1, c2, c8) = (render_fleet(&s1), render_fleet(&s2), render_fleet(&s8));
     assert!(c1.contains("fleet invariant"), "{c1}");
@@ -143,9 +143,9 @@ fn fleet_scorecards_are_byte_identical_for_1_2_and_8_threads() {
     // into a fixed-size aggregate in completion order) — the fold must
     // still commute.
     let specs = expand_fleet(12, 0, Some(FAST_REQUESTS)).expect("valid fleet");
-    let t1 = run_fleet(&specs, 1, TraceMode::Memoized).expect("fleet runs");
-    let t2 = run_fleet(&specs, 2, TraceMode::Memoized).expect("fleet runs");
-    let t8 = run_fleet(&specs, 8, TraceMode::Memoized).expect("fleet runs");
+    let t1 = run_fleet_corpus(&specs, 1, 1, TraceMode::Memoized, None).expect("fleet runs");
+    let t2 = run_fleet_corpus(&specs, 2, 1, TraceMode::Memoized, None).expect("fleet runs");
+    let t8 = run_fleet_corpus(&specs, 8, 1, TraceMode::Memoized, None).expect("fleet runs");
 
     let (s1, s2, s8) = (render_fleet(&t1), render_fleet(&t2), render_fleet(&t8));
     assert!(s1.contains("fleet invariant"), "{s1}");
@@ -161,7 +161,7 @@ fn fleet_scorecards_are_byte_identical_for_1_2_and_8_threads() {
 #[test]
 fn sharded_arena_run_keeps_the_survival_gate() {
     let specs = arena_matrix();
-    let report = run_matrix(&specs, 4).expect("matrix runs");
+    let report = run_matrix_with(&specs, 4, TraceMode::Memoized).expect("matrix runs");
     for result in &report.results {
         assert!(
             result.survival_invariant_holds(),
@@ -174,7 +174,7 @@ fn sharded_arena_run_keeps_the_survival_gate() {
 #[test]
 fn sharded_harsh_run_keeps_the_zero_false_positive_gate() {
     let specs = harsh_matrix();
-    let report = run_matrix(&specs, 4).expect("matrix runs");
+    let report = run_matrix_with(&specs, 4, TraceMode::Memoized).expect("matrix runs");
     for result in &report.results {
         assert!(
             result.harsh_invariant_holds(),
@@ -187,7 +187,7 @@ fn sharded_harsh_run_keeps_the_zero_false_positive_gate() {
 #[test]
 fn worker_telemetry_accounts_for_every_cell_and_event() {
     let specs = harsh_matrix();
-    let report = run_matrix(&specs, 2).expect("matrix runs");
+    let report = run_matrix_with(&specs, 2, TraceMode::Memoized).expect("matrix runs");
     let cells: usize = report.workers.iter().map(|w| w.campaigns).sum();
     assert_eq!(cells, specs.len(), "every cell executed exactly once");
 

@@ -18,9 +18,8 @@ use proptest::prelude::*;
 use safemem_core::{IncidentClass, LeakConfig, SafeMem};
 use safemem_faultinject::{
     expand_frontier, expand_matrix, record_campaign_trace, record_trace,
-    replay_panel_columnar_with, replay_tools, run_matrix_streamed, run_matrix_streamed_corpus,
-    run_matrix_with, CampaignSpec, CorpusMode, StreamAggregate, TraceCorpus, TraceKey, TraceMode,
-    PANEL,
+    replay_panel_columnar_with, replay_tools, run_matrix_streamed_corpus, run_matrix_with,
+    CampaignSpec, CorpusMode, StreamAggregate, TraceCorpus, TraceKey, TraceMode, PANEL,
 };
 use safemem_os::{Os, OsConfig};
 use safemem_workloads::{ColumnarReplayer, ColumnarTrace, Trace, TraceOp};
@@ -174,12 +173,13 @@ fn epoch_batched_and_eager_leak_scheduling_agree_on_recorded_traces() {
 #[test]
 fn corpus_backed_matrix_matches_fresh_recording() {
     let specs = golden_matrix();
-    let fresh = run_matrix_streamed(
+    let fresh = run_matrix_streamed_corpus(
         &specs,
         2,
         TraceMode::Memoized,
         false,
         StreamAggregate::new(),
+        None,
     )
     .expect("fresh run");
 

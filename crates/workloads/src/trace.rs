@@ -114,6 +114,12 @@ pub struct Trace {
     ops: Vec<TraceOp>,
 }
 
+/// The next token of a trace line parsed as a decimal `T`, or `None` if the
+/// token is missing or malformed.
+fn next_field<T: std::str::FromStr>(parts: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
+    parts.next()?.parse().ok()
+}
+
 impl Trace {
     /// Creates an empty trace.
     #[must_use]
@@ -267,37 +273,26 @@ impl Trace {
                 "F" => trace.push(TraceOp::Free {
                     id: id(num("id")?)?,
                 }),
-                "R" => {
+                "R" | "W" | "RF" | "WF" => {
                     let id = id(num("id")?)?;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    trace.push(TraceOp::Read { id, offset, len });
-                }
-                "W" => {
-                    let id = id(num("id")?)?;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    let fill = parts
-                        .next()
-                        .and_then(|t| t.parse::<u8>().ok())
-                        .ok_or_else(|| err("fill"))?;
-                    trace.push(TraceOp::Write {
-                        id,
-                        offset,
-                        len,
-                        fill,
+                    let offset = next_field(&mut parts).ok_or_else(|| err("offset"))?;
+                    let len = next_field(&mut parts).ok_or_else(|| err("len"))?;
+                    let mut fill = || next_field(&mut parts).ok_or_else(|| err("fill"));
+                    trace.push(match tag {
+                        "R" => TraceOp::Read { id, offset, len },
+                        "RF" => TraceOp::ReadFreed { id, offset, len },
+                        "W" => TraceOp::Write {
+                            id,
+                            offset,
+                            len,
+                            fill: fill()?,
+                        },
+                        _ => TraceOp::WriteFreed {
+                            id,
+                            offset,
+                            len,
+                            fill: fill()?,
+                        },
                     });
                 }
                 "C" => {
@@ -309,39 +304,6 @@ impl Trace {
                     });
                 }
                 "I" => trace.push(TraceOp::Io { ns: num("ns")? }),
-                "RF" => {
-                    let id = id(num("id")?)?;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    trace.push(TraceOp::ReadFreed { id, offset, len });
-                }
-                "WF" => {
-                    let id = id(num("id")?)?;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    let fill = parts
-                        .next()
-                        .and_then(|t| t.parse::<u8>().ok())
-                        .ok_or_else(|| err("fill"))?;
-                    trace.push(TraceOp::WriteFreed {
-                        id,
-                        offset,
-                        len,
-                        fill,
-                    });
-                }
                 "FF" => trace.push(TraceOp::FreeAgain {
                     id: id(num("id")?)?,
                 }),
@@ -734,6 +696,40 @@ mod tests {
             "bound after use"
         );
         assert!(Trace::from_text("M 64 0x1\nF 0\nFF 0\n").is_ok());
+    }
+    #[test]
+    fn parse_names_the_missing_or_malformed_access_field() {
+        // (op line, expected error) for every access tag: a missing or
+        // malformed offset, len and (for writes) fill.
+        let cases = [
+            ("R 0", r#"line 2: offset: "R 0""#),
+            ("R 0 x 8", r#"line 2: offset: "R 0 x 8""#),
+            ("R 0 4", r#"line 2: len: "R 0 4""#),
+            ("R 0 4 -8", r#"line 2: len: "R 0 4 -8""#),
+            ("RF 0", r#"line 2: offset: "RF 0""#),
+            ("RF 0 0x4 8", r#"line 2: offset: "RF 0 0x4 8""#),
+            ("RF 0 4", r#"line 2: len: "RF 0 4""#),
+            ("RF 0 4 4294967296", r#"line 2: len: "RF 0 4 4294967296""#),
+            ("W 0", r#"line 2: offset: "W 0""#),
+            ("W 0 4.5 8 0", r#"line 2: offset: "W 0 4.5 8 0""#),
+            ("W 0 4", r#"line 2: len: "W 0 4""#),
+            ("W 0 4 len 0", r#"line 2: len: "W 0 4 len 0""#),
+            ("W 0 4 8", r#"line 2: fill: "W 0 4 8""#),
+            ("W 0 4 8 256", r#"line 2: fill: "W 0 4 8 256""#),
+            ("WF 0", r#"line 2: offset: "WF 0""#),
+            (
+                "WF 0 9223372036854775808 8 0",
+                r#"line 2: offset: "WF 0 9223372036854775808 8 0""#,
+            ),
+            ("WF 0 4", r#"line 2: len: "WF 0 4""#),
+            ("WF 0 4 0x8 0", r#"line 2: len: "WF 0 4 0x8 0""#),
+            ("WF 0 4 8", r#"line 2: fill: "WF 0 4 8""#),
+            ("WF 0 4 8 -1", r#"line 2: fill: "WF 0 4 8 -1""#),
+        ];
+        for (op, expected) in cases {
+            let err = Trace::from_text(&format!("M 64 0x1\n{op}\n")).unwrap_err();
+            assert_eq!(err, expected, "{op}");
+        }
     }
 
     #[test]

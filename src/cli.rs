@@ -307,8 +307,6 @@ pub fn campaign_usage() -> String {
          \x20                     its processes' frame windows (default 1, at least 1;\n\
          \x20                     requires --preset fleet; the merged scorecard is\n\
          \x20                     byte-identical for every shard count)\n\
-         \x20 --bench-shards <a,b> run the fleet once per shard count, cross-check the\n\
-         \x20                     scorecards are identical, and report the phase-A speedup\n\
          \x20 --fleet-sweep       grid sampling rate x fleet size over shared recorded\n\
          \x20                     traces and report the knee of observed fleet-level\n\
          \x20                     detection (requires --preset fleet)\n\
@@ -324,9 +322,6 @@ pub fn campaign_usage() -> String {
          \x20 --threads <n>       worker threads sharding the campaign matrix\n\
          \x20                     (default: available parallelism; the scorecard is\n\
          \x20                     byte-identical for every thread count)\n\
-         \x20 --bench-threads <a,b> run the matrix once per thread count, cross-check\n\
-         \x20                     the scorecards are identical, and report the speedup\n\
-         \x20 --bench-json <file> write the measured thread-scaling numbers as JSON\n\
          \x20 --fresh-record      record a private trace per cell instead of sharing\n\
          \x20                     one recording per unique (workload, os-shape) key;\n\
          \x20                     the scorecard is byte-identical either way\n\
@@ -376,10 +371,6 @@ pub struct CampaignCli {
     /// `fleet` preset; the merged scorecard is byte-identical for every
     /// shard count.
     pub fleet_shards: Option<usize>,
-    /// Shard counts to measure the same fleet at (empty = run once at
-    /// `fleet_shards`). Every run's scorecard is cross-checked
-    /// byte-identical; only the wall clock may differ.
-    pub bench_shards: Vec<usize>,
     /// Run the sampling-rate × fleet-size sweep after the fleet campaign
     /// and append its knee scorecard. Only meaningful with the `fleet`
     /// preset.
@@ -390,11 +381,6 @@ pub struct CampaignCli {
     pub sampling_ppm: Vec<u32>,
     /// Worker threads sharding the matrix (None = available parallelism).
     pub threads: Option<usize>,
-    /// Thread counts to measure the same matrix at (empty = run once at
-    /// `threads`). Every run's scorecard is cross-checked byte-identical.
-    pub bench_threads: Vec<usize>,
-    /// Write measured thread-scaling numbers to this file as JSON.
-    pub bench_json: Option<String>,
     /// Record a private trace per cell ([`TraceMode::FreshRecord`]) instead
     /// of sharing one recording per unique trace key.
     ///
@@ -424,12 +410,9 @@ impl CampaignCli {
             requests: None,
             processes: None,
             fleet_shards: None,
-            bench_shards: Vec::new(),
             fleet_sweep: false,
             sampling_ppm: Vec::new(),
             threads: None,
-            bench_threads: Vec::new(),
-            bench_json: None,
             fresh_record: false,
             trace_corpus: None,
             corpus_mode: crate::faultinject::CorpusMode::Auto,
@@ -492,26 +475,6 @@ impl CampaignCli {
                     }
                     cli.fleet_shards = Some(n);
                 }
-                "--bench-shards" => {
-                    cli.bench_shards = value("--bench-shards")?
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n > 0)
-                                .ok_or_else(|| {
-                                    CliError(
-                                        "--bench-shards needs comma-separated positive integers"
-                                            .into(),
-                                    )
-                                })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if cli.bench_shards.is_empty() {
-                        return Err(CliError("--bench-shards needs at least one count".into()));
-                    }
-                }
                 "--fleet-sweep" => cli.fleet_sweep = true,
                 "--sampling" => {
                     cli.sampling_ppm = value("--sampling")?
@@ -546,27 +509,6 @@ impl CampaignCli {
                     }
                     cli.threads = Some(n);
                 }
-                "--bench-threads" => {
-                    cli.bench_threads = value("--bench-threads")?
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&n| n > 0)
-                                .ok_or_else(|| {
-                                    CliError(
-                                        "--bench-threads needs comma-separated positive integers"
-                                            .into(),
-                                    )
-                                })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if cli.bench_threads.is_empty() {
-                        return Err(CliError("--bench-threads needs at least one count".into()));
-                    }
-                }
-                "--bench-json" => cli.bench_json = Some(value("--bench-json")?),
                 "--fresh-record" => cli.fresh_record = true,
                 "--trace-corpus" => cli.trace_corpus = Some(value("--trace-corpus")?),
                 "--corpus-mode" => {
@@ -607,12 +549,6 @@ impl CampaignCli {
             if cli.fleet_shards.is_some() {
                 return Err(CliError(
                     "--fleet-shards requires --preset fleet (other presets shard with --threads)"
-                        .into(),
-                ));
-            }
-            if !cli.bench_shards.is_empty() {
-                return Err(CliError(
-                    "--bench-shards requires --preset fleet (other presets use --bench-threads)"
                         .into(),
                 ));
             }
@@ -664,19 +600,16 @@ impl CampaignCli {
     /// The report has two parts: the deterministic scorecard (per-campaign
     /// cards with `--verbose`, then the aggregate), which is byte-identical
     /// for every `--threads` value, followed by schedule-dependent execution
-    /// telemetry (worker balance, wall time, thread-scaling measurements).
+    /// telemetry (worker balance, wall time).
     ///
     /// # Errors
     ///
-    /// Returns [`CliError`] for an unknown preset or workload, an unwritable
-    /// `--bench-json` path, or — defensively — if a `--bench-threads`
-    /// cross-check ever catches two thread counts disagreeing on the
-    /// scorecard.
+    /// Returns [`CliError`] for an unknown preset or workload, a matrix too
+    /// large to hold, or an unusable trace corpus.
     pub fn execute(&self) -> Result<(String, bool), CliError> {
         use crate::faultinject::{
-            default_threads, expand_frontier, expand_matrix, render_bench_json,
-            render_frontier_bench_json, render_worker_table, run_matrix_streamed_corpus, BenchRun,
-            StreamAggregate, StreamReport, TraceMode,
+            default_threads, expand_frontier, expand_matrix, render_worker_table,
+            run_matrix_streamed_corpus, StreamAggregate,
         };
 
         if self.preset == "fleet" {
@@ -703,93 +636,39 @@ impl CampaignCli {
             )
         }
         .map_err(|e| CliError(e.0))?;
-        let threads = self.threads.unwrap_or_else(default_threads);
-        let thread_counts = if self.bench_threads.is_empty() {
-            vec![threads]
-        } else {
-            self.bench_threads.clone()
-        };
 
-        let mode = if self.fresh_record {
-            TraceMode::FreshRecord
-        } else {
-            TraceMode::Memoized
-        };
-        let corpus = self.open_corpus()?;
         // Each cell folds into a fixed-size aggregate as it finishes — peak
         // memory is the aggregate's footprint, not the matrix size. The
         // frontier variant also maintains one row per sampling rate, which
         // its render appends, so the rendered aggregate *is* the
-        // deterministic scorecard the cross-thread-count check pins.
-        let mut runs = Vec::with_capacity(thread_counts.len());
-        let mut first: Option<(StreamReport, String)> = None;
-        for &t in &thread_counts {
-            let seed_aggregate = if frontier {
-                StreamAggregate::with_frontier(&specs)
-            } else {
-                StreamAggregate::new()
-            };
-            let stream = run_matrix_streamed_corpus(
-                &specs,
-                t,
-                mode,
-                self.verbose,
-                seed_aggregate,
-                corpus.as_ref(),
-            )
-            .map_err(|e| CliError(e.0))?;
-            let aggregate = stream.aggregate.render();
-            runs.push(BenchRun {
-                threads: t,
-                wall: stream.wall,
-                campaigns: stream.aggregate.campaigns(),
-                boot: None,
-            });
-            match &first {
-                None => first = Some((stream, aggregate)),
-                Some((_, reference)) => {
-                    if aggregate != *reference {
-                        return Err(CliError(format!(
-                            "determinism violation: {t} threads produced a different \
-                             scorecard than {} threads",
-                            thread_counts[0]
-                        )));
-                    }
-                }
-            }
-        }
-        let (stream, aggregate) = first.expect("at least one thread count runs");
+        // deterministic scorecard.
+        let seed_aggregate = if frontier {
+            StreamAggregate::with_frontier(&specs)
+        } else {
+            StreamAggregate::new()
+        };
+        let stream = run_matrix_streamed_corpus(
+            &specs,
+            self.threads.unwrap_or_else(default_threads),
+            self.trace_mode(),
+            self.verbose,
+            seed_aggregate,
+            self.open_corpus()?.as_ref(),
+        )
+        .map_err(|e| CliError(e.0))?;
 
         let mut report = String::new();
         for (_, card) in &stream.cards {
             report.push_str(card);
             report.push('\n');
         }
-        report.push_str(&aggregate);
+        report.push_str(&stream.aggregate.render());
         report.push_str(&render_worker_table(
             stream.aggregate.campaigns(),
             stream.threads,
             stream.wall,
             &stream.workers,
         ));
-        report.push_str(&scaling_lines(&runs));
-        if let Some(path) = &self.bench_json {
-            let json = if frontier {
-                render_frontier_bench_json(
-                    &self.preset,
-                    self.requests,
-                    &runs,
-                    stream
-                        .aggregate
-                        .frontier_rows()
-                        .expect("the frontier aggregate maintains its rows"),
-                )
-            } else {
-                render_bench_json(&self.preset, self.requests, &runs)
-            };
-            std::fs::write(path, json)
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        }
 
         // Sampled-out allocations legitimately miss their planted bug, so
         // the full harsh invariant only binds the frontier's always-on rung;
@@ -804,93 +683,35 @@ impl CampaignCli {
 
     /// The `fleet` preset: a two-phase multi-process campaign (sharded
     /// shared-machine fleet, then sharded per-process cells) with its own
-    /// scorecard, optional shard-scaling measurements, and the optional
-    /// rate × fleet-size sweep.
+    /// scorecard, then the optional rate × fleet-size sweep.
     fn execute_fleet(&self) -> Result<(String, bool), CliError> {
         use crate::faultinject::{
-            default_threads, expand_fleet, render_fleet, render_fleet_bench_json,
-            render_fleet_sweep, render_worker_table, run_fleet_corpus, run_fleet_sweep,
-            splice_sweep_json, BenchRun, FleetOutcome, ShardRun, SweepConfig, TraceMode,
-            DEFAULT_FLEET_PROCESSES, SWEEP_FLEET_SIZES,
+            default_threads, expand_fleet, render_fleet, render_fleet_sweep, render_worker_table,
+            run_fleet_corpus, run_fleet_sweep, SweepConfig, DEFAULT_FLEET_PROCESSES,
+            SWEEP_FLEET_SIZES,
         };
 
         let processes = self.processes.unwrap_or(DEFAULT_FLEET_PROCESSES);
         let specs =
             expand_fleet(processes, self.seed0, self.requests).map_err(|e| CliError(e.0))?;
         let threads = self.threads.unwrap_or_else(default_threads);
-        let thread_counts = if self.bench_threads.is_empty() {
-            vec![threads]
-        } else {
-            self.bench_threads.clone()
-        };
-        let shards = self.fleet_shards.unwrap_or(1);
-        let mode = if self.fresh_record {
-            TraceMode::FreshRecord
-        } else {
-            TraceMode::Memoized
-        };
         let corpus = self.open_corpus()?;
+        let outcome = run_fleet_corpus(
+            &specs,
+            threads,
+            self.fleet_shards.unwrap_or(1),
+            self.trace_mode(),
+            corpus.as_ref(),
+        )
+        .map_err(|e| CliError(e.0))?;
 
-        // Thread-scaling runs (phase B workers) at the configured phase-A
-        // shard count.
-        let mut runs = Vec::with_capacity(thread_counts.len());
-        let mut first: Option<(FleetOutcome, String)> = None;
-        for &t in &thread_counts {
-            let outcome = run_fleet_corpus(&specs, t, shards, mode, corpus.as_ref())
-                .map_err(|e| CliError(e.0))?;
-            let card = render_fleet(&outcome);
-            runs.push(BenchRun {
-                threads: t,
-                wall: outcome.wall,
-                campaigns: specs.len(),
-                boot: Some(outcome.boot_wall),
-            });
-            match &first {
-                None => first = Some((outcome, card)),
-                Some((_, reference)) => {
-                    if card != *reference {
-                        return Err(CliError(format!(
-                            "determinism violation: {t} threads produced a different \
-                             fleet scorecard than {} threads",
-                            thread_counts[0]
-                        )));
-                    }
-                }
-            }
-        }
-        let (outcome, card) = first.expect("at least one thread count runs");
-
-        // Shard-scaling runs (phase A partitioning): same fleet, same
-        // scorecard, different machine count — only the wall clock may
-        // move, and the cross-check enforces exactly that.
-        let mut shard_runs: Vec<ShardRun> = Vec::with_capacity(self.bench_shards.len());
-        for &s in &self.bench_shards {
-            let shard_outcome =
-                run_fleet_corpus(&specs, thread_counts[0], s, mode, corpus.as_ref())
-                    .map_err(|e| CliError(e.0))?;
-            if render_fleet(&shard_outcome) != card {
-                return Err(CliError(format!(
-                    "determinism violation: {s} shards produced a different fleet \
-                     scorecard than {shards} shards"
-                )));
-            }
-            shard_runs.push(ShardRun {
-                shards: shard_outcome.shards,
-                wall: shard_outcome.wall,
-                boot_wall: shard_outcome.boot_wall,
-                campaigns: specs.len() as u64,
-            });
-        }
-
-        let mut report = card;
+        let mut report = render_fleet(&outcome);
         report.push_str(&render_worker_table(
             specs.len(),
             outcome.threads,
             outcome.wall,
             &outcome.workers,
         ));
-        report.push_str(&scaling_lines(&runs));
-        report.push_str(&shard_scaling_lines(&shard_runs));
 
         // The sweep grids rate × size over its own shared traces; sizes are
         // clamped to the fleet size so `--processes` bounds the work.
@@ -909,84 +730,27 @@ impl CampaignCli {
                 sizes,
                 ..SweepConfig::default()
             };
-            let sweep_outcome = run_fleet_sweep(&config, thread_counts[0], corpus.as_ref())
-                .map_err(|e| CliError(e.0))?;
+            let sweep_outcome =
+                run_fleet_sweep(&config, threads, corpus.as_ref()).map_err(|e| CliError(e.0))?;
             report.push_str(&render_fleet_sweep(&sweep_outcome));
             Some(sweep_outcome)
         } else {
             None
         };
 
-        if let Some(path) = &self.bench_json {
-            let mut json =
-                render_fleet_bench_json(&self.preset, self.requests, &runs, &shard_runs, &outcome);
-            if let Some(sweep) = &sweep {
-                json = splice_sweep_json(&json, sweep);
-            }
-            std::fs::write(path, json)
-                .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-        }
         let ok =
             outcome.agg.invariants_hold() && sweep.as_ref().is_none_or(|s| s.invariants_hold());
         Ok((report, ok))
     }
-}
 
-/// Renders the `--bench-shards` speedup lines (empty without measurements).
-/// Schedule-dependent telemetry — not part of the deterministic scorecard.
-fn shard_scaling_lines(runs: &[crate::faultinject::ShardRun]) -> String {
-    let mut out = String::new();
-    if runs.len() > 1 {
-        use std::fmt::Write as _;
-        let base = runs[0];
-        for run in &runs[1..] {
-            let speedup = if run.wall.is_zero() {
-                1.0
-            } else {
-                base.wall.as_secs_f64() / run.wall.as_secs_f64()
-            };
-            let _ = writeln!(
-                out,
-                "  shard scaling: {} shards {:.1} ms (phase A {:.1} ms) vs {} shards {:.1} ms \
-                 (phase A {:.1} ms) — speedup {speedup:.2}x (scorecards byte-identical)",
-                run.shards,
-                run.wall.as_secs_f64() * 1e3,
-                run.boot_wall.as_secs_f64() * 1e3,
-                base.shards,
-                base.wall.as_secs_f64() * 1e3,
-                base.boot_wall.as_secs_f64() * 1e3,
-            );
+    /// Whether cells share one recording per trace key or record privately.
+    fn trace_mode(&self) -> crate::faultinject::TraceMode {
+        if self.fresh_record {
+            crate::faultinject::TraceMode::FreshRecord
+        } else {
+            crate::faultinject::TraceMode::Memoized
         }
     }
-    out
-}
-
-/// Renders the `--bench-threads` speedup lines (empty for a single run).
-/// Schedule-dependent telemetry, like the worker table — not part of the
-/// deterministic scorecard.
-fn scaling_lines(runs: &[crate::faultinject::BenchRun]) -> String {
-    let mut out = String::new();
-    if runs.len() > 1 {
-        use std::fmt::Write as _;
-        let base = runs[0].wall;
-        for run in &runs[1..] {
-            let speedup = if run.wall.is_zero() {
-                1.0
-            } else {
-                base.as_secs_f64() / run.wall.as_secs_f64()
-            };
-            let _ = writeln!(
-                out,
-                "  scaling: {} threads {:.1} ms vs {} threads {:.1} ms — speedup {speedup:.2}x \
-                 (scorecards byte-identical)",
-                run.threads,
-                run.wall.as_secs_f64() * 1e3,
-                runs[0].threads,
-                base.as_secs_f64() * 1e3,
-            );
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1060,20 +824,8 @@ mod tests {
 
     #[test]
     fn campaign_cli_parses_thread_flags() {
-        let cli = parse_campaign(&[
-            "--preset",
-            "harsh",
-            "--threads",
-            "4",
-            "--bench-threads",
-            "1,4",
-            "--bench-json",
-            "out.json",
-        ])
-        .unwrap();
+        let cli = parse_campaign(&["--preset", "harsh", "--threads", "4"]).unwrap();
         assert_eq!(cli.threads, Some(4));
-        assert_eq!(cli.bench_threads, vec![1, 4]);
-        assert_eq!(cli.bench_json.as_deref(), Some("out.json"));
         // Omitted --threads means auto (available parallelism).
         assert_eq!(parse_campaign(&[]).unwrap().threads, None);
     }
@@ -1082,8 +834,15 @@ mod tests {
     fn campaign_cli_rejects_bad_thread_flags() {
         assert!(parse_campaign(&["--threads", "0"]).is_err());
         assert!(parse_campaign(&["--threads", "many"]).is_err());
-        assert!(parse_campaign(&["--bench-threads", "1,0"]).is_err());
-        assert!(parse_campaign(&["--bench-threads", ""]).is_err());
+        // The retired bench mode's flags are unknown now.
+        for (name, value) in [("threads", "1,2"), ("shards", "1,2"), ("json", "out.json")] {
+            let flag = format!("--bench-{name}");
+            let err = parse_campaign(&["--preset", "fleet", &flag, value]).unwrap_err();
+            assert!(
+                err.0.starts_with(&format!("unknown flag {flag:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1150,21 +909,17 @@ mod tests {
             "24",
             "--fleet-shards",
             "8",
-            "--bench-shards",
-            "1,2,8",
             "--fleet-sweep",
         ])
         .unwrap();
         assert_eq!(cli.processes, Some(24));
         assert_eq!(cli.fleet_shards, Some(8));
-        assert_eq!(cli.bench_shards, vec![1, 2, 8]);
         assert!(cli.fleet_sweep);
         assert!(cli.workloads.is_empty(), "fleet fixes the churn family");
         // Default fleet size is the preset's; default shards are 1.
         let defaults = parse_campaign(&["--preset", "fleet"]).unwrap();
         assert_eq!(defaults.processes, None);
         assert_eq!(defaults.fleet_shards, None);
-        assert!(defaults.bench_shards.is_empty());
         assert!(!defaults.fleet_sweep);
     }
 
@@ -1186,13 +941,8 @@ mod tests {
             "names the flag and the range: {err}"
         );
         assert!(parse_campaign(&["--preset", "fleet", "--fleet-shards", "many"]).is_err());
-        assert!(parse_campaign(&["--preset", "fleet", "--bench-shards", "1,0"]).is_err());
         assert!(
             parse_campaign(&["--fleet-shards", "2"]).is_err(),
-            "fleet-only flag"
-        );
-        assert!(
-            parse_campaign(&["--bench-shards", "1,2"]).is_err(),
             "fleet-only flag"
         );
         assert!(
@@ -1236,56 +986,75 @@ mod tests {
         );
     }
 
+    /// The deterministic part of a campaign report: everything before the
+    /// schedule-dependent `execution:` table.
+    fn scorecard(report: &str) -> &str {
+        report
+            .split("execution:")
+            .next()
+            .expect("report has a scorecard part")
+    }
+
     #[test]
-    fn sharded_fleet_campaign_reports_shard_scaling_and_the_sweep() {
-        let dir = std::env::temp_dir().join("safemem-cli-shard-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json_path = dir.join("bench.json");
-        let cli = parse_campaign(&[
-            "--preset",
-            "fleet",
-            "--processes",
-            "12",
-            "--requests",
-            "48",
-            "--threads",
-            "2",
-            "--fleet-shards",
-            "4",
-            "--bench-shards",
-            "1,2,4",
-            "--fleet-sweep",
-            "--bench-json",
-            json_path.to_str().unwrap(),
-        ])
-        .unwrap();
-        let (report, ok) = cli.execute().unwrap();
-        assert!(ok, "fleet + sweep invariants hold:\n{report}");
-        assert!(report.contains("shard scaling: 2 shards"), "{report}");
+    fn sharded_fleet_campaign_matches_one_shard_and_reports_the_sweep() {
+        let run = |shards: &str, sweep: bool| {
+            let mut args = vec![
+                "--preset",
+                "fleet",
+                "--processes",
+                "12",
+                "--requests",
+                "48",
+                "--threads",
+                "2",
+                "--fleet-shards",
+                shards,
+            ];
+            if sweep {
+                args.push("--fleet-sweep");
+            }
+            let (report, ok) = parse_campaign(&args).unwrap().execute().unwrap();
+            assert!(ok, "fleet + sweep invariants hold:\n{report}");
+            report
+        };
+        let swept = run("4", true);
         assert!(
-            report.contains("fleet sweep: sampling rate x fleet size"),
-            "{report}"
+            swept.contains("fleet sweep: sampling rate x fleet size"),
+            "{swept}"
         );
         assert!(
-            report.contains("zero false positives and 6sigma band at every grid point): OK"),
-            "{report}"
+            swept.contains("zero false positives and 6sigma band at every grid point): OK"),
+            "{swept}"
         );
-        let json = std::fs::read_to_string(&json_path).unwrap();
-        assert!(json.contains("\"shard_runs\": ["), "{json}");
-        assert!(json.contains("\"fleet_sweep\": {"), "{json}");
-        assert!(json.ends_with("  }\n}\n"), "{json}");
-        std::fs::remove_file(json_path).ok();
+        for shards in ["1", "2"] {
+            assert_eq!(scorecard(&run(shards, false)), scorecard(&swept));
+        }
+    }
+
+    #[test]
+    fn hostile_seed_counts_are_a_clean_error() {
+        let cli =
+            parse_campaign(&["--seeds", &u64::MAX.to_string(), "--workloads", "tar"]).unwrap();
+        let err = cli.execute().unwrap_err();
+        assert!(
+            err.0.contains("--seeds") && err.0.contains(&u64::MAX.to_string()),
+            "names the flag and the cell count: {err}"
+        );
+    }
+
+    #[test]
+    fn hostile_fleet_sizes_are_a_clean_error() {
+        let cli =
+            parse_campaign(&["--preset", "fleet", "--processes", &u64::MAX.to_string()]).unwrap();
+        let err = cli.execute().unwrap_err();
+        assert!(
+            err.0.contains("--processes") && err.0.contains(&u64::MAX.to_string()),
+            "names the flag and the cell count: {err}"
+        );
     }
 
     #[test]
     fn campaign_scorecard_is_identical_across_thread_counts() {
-        let strip_execution = |report: &str| {
-            report
-                .split("execution:")
-                .next()
-                .expect("report has a scorecard part")
-                .to_string()
-        };
         let run = |threads: &str| {
             let cli = parse_campaign(&[
                 "--preset",
@@ -1302,7 +1071,7 @@ mod tests {
             .unwrap();
             let (report, ok) = cli.execute().unwrap();
             assert!(ok, "harsh invariant holds:\n{report}");
-            strip_execution(&report)
+            scorecard(&report).to_string()
         };
         assert_eq!(run("1"), run("3"));
     }
