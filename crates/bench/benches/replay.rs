@@ -1,6 +1,6 @@
 //! Benchmarks of the single-record/multi-replay campaign pipeline: trace
-//! recording vs replay, the columnar struct-of-arrays engine (and its
-//! one-time transposition) vs the naive HashMap-per-run reference, and the
+//! recording vs replay, the columnar engine's scan of a trace's
+//! struct-of-arrays columns vs the naive HashMap-per-run reference, and the
 //! leak detector's check pass as the live group population grows (the
 //! incremental schedule vs the full scan).
 //!
@@ -11,7 +11,7 @@ use criterion::{black_box, Criterion};
 use safemem_core::{CallStack, LeakConfig, LeakDetector, SafeMem};
 use safemem_faultinject::{record_trace, CampaignSpec};
 use safemem_os::{Os, OsConfig, HEAP_BASE};
-use safemem_workloads::{ColumnarReplayer, ColumnarTrace};
+use safemem_workloads::ColumnarReplayer;
 
 fn os_for(spec: &CampaignSpec) -> Os {
     let mut os = Os::new(OsConfig {
@@ -42,20 +42,15 @@ fn bench_record_vs_replay(c: &mut Criterion) {
         })
     });
 
-    // Columnar struct-of-arrays engine: the one production replay path, with
-    // a scratch-reusing replayer amortised across runs as each campaign
-    // worker holds one. The one-time transposition is benched separately
-    // from the scan itself.
-    c.bench_function("replay/columnar_transpose_gzip48", |b| {
-        b.iter(|| black_box(ColumnarTrace::from_trace(&trace)))
-    });
-    let columnar = ColumnarTrace::from_trace(&trace);
+    // Columnar engine: the one production replay path, with a
+    // scratch-reusing replayer amortised across runs as each campaign
+    // worker holds one.
     let mut columnar_replayer = ColumnarReplayer::new();
     c.bench_function("replay/columnar_gzip48", |b| {
         b.iter(|| {
             let mut os = os_for(&spec);
             let mut tool = SafeMem::builder().build(&mut os);
-            black_box(columnar_replayer.replay(&columnar, &mut os, &mut tool))
+            black_box(columnar_replayer.replay(&trace, &mut os, &mut tool))
         })
     });
 }

@@ -275,50 +275,21 @@ impl Codec {
         )
     }
 
-    /// Word-parallel (bit-plane) encode: check bit `j` of a word is the
-    /// parity of the data bits selected by [`ROW_MASKS`]`[j]` — one mask,
-    /// one popcount-fold per plane, no per-byte table walk. Equivalent to
-    /// [`Codec::encode`]; the bulk paths use it so a whole group is coded
-    /// from a single register-resident word.
-    #[must_use]
-    pub fn encode_word(&self, data: u64) -> u8 {
-        let mut code = 0u8;
-        let mut j = 0;
-        while j < CHECK_BITS as usize {
-            #[allow(clippy::cast_possible_truncation)]
-            let parity = ((data & ROW_MASKS[j]).count_ones() & 1) as u8;
-            code |= parity << j;
-            j += 1;
-        }
-        code
-    }
-
     /// Batch-encodes one cache line — [`LINE_GROUPS`] consecutive groups,
     /// [`LINE_BYTES`] little-endian bytes — into its 8 check codes.
     /// Semantically this runs the 8 masked bit-planes over each group word
-    /// (see [`Codec::encode_word`]); the hot-path implementation walks the
-    /// byte tables instead because baseline `x86-64` emulates `popcnt` in
-    /// software, making the L1-resident table walk the faster evaluation of
-    /// the same XOR-of-planes sum. The two are differentially tested
-    /// exhaustively per byte lane and by proptest over random lines.
+    /// (check bit `j` is the parity of the data bits [`ROW_MASKS`]`[j]`
+    /// selects); the hot-path implementation walks the byte tables instead
+    /// because baseline `x86-64` emulates `popcnt` in software, making the
+    /// L1-resident table walk the faster evaluation of the same
+    /// XOR-of-planes sum. `tests/codec_tables.rs` checks the two against
+    /// each other.
     #[must_use]
     pub fn encode_line(&self, line: &[u8; LINE_BYTES]) -> [u8; LINE_GROUPS] {
         let mut codes = [0u8; LINE_GROUPS];
         for (g, chunk) in line.chunks_exact(8).enumerate() {
             let bytes: &[u8; 8] = chunk.try_into().expect("8-byte chunk");
             codes[g] = self.encode_bytes(bytes);
-        }
-        codes
-    }
-
-    /// [`Codec::encode_line`] evaluated strictly through the word-parallel
-    /// bit-plane path — the differential reference for the batch encoder.
-    #[must_use]
-    pub fn encode_line_planes(&self, line: &[u8; LINE_BYTES]) -> [u8; LINE_GROUPS] {
-        let mut codes = [0u8; LINE_GROUPS];
-        for (g, chunk) in line.chunks_exact(8).enumerate() {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            codes[g] = self.encode_word(word);
         }
         codes
     }

@@ -33,10 +33,11 @@
 //! ```
 //!
 //! The header pins every [`TraceKey`] field, the op count, and an FNV-1a
-//! checksum of the trace text, so a loaded file is validated against the
-//! exact key the runner would have recorded under — a stale or foreign file
-//! fails loudly (naming the file and the expected version or field) instead
-//! of silently perturbing the scorecard.
+//! checksum of the trace text. Every header line is required, in this
+//! order, so a loaded file is validated against the exact key the runner
+//! would have recorded under — a stale, foreign or truncated file fails
+//! loudly (naming the file and the expected version or field) instead of
+//! silently perturbing the scorecard.
 //!
 //! # Version policy
 //!
@@ -203,6 +204,23 @@ fn opt_token(value: Option<u64>) -> String {
     value.map_or_else(|| "-".into(), |v| v.to_string())
 }
 
+/// The header lines that pin a [`TraceKey`], in file order: the one table
+/// [`TraceCorpus::render`] writes and [`TraceCorpus::parse`] checks.
+fn key_header(key: &TraceKey) -> [(&'static str, String); 7] {
+    [
+        ("workload", key.workload.clone()),
+        ("workload_seed", key.workload_seed.to_string()),
+        ("requests", opt_token(key.requests)),
+        ("phys_bytes", key.phys_bytes.to_string()),
+        ("swap_policy", swap_policy_token(key.swap_policy).into()),
+        (
+            "scrub_interval_cycles",
+            opt_token(key.scrub_interval_cycles),
+        ),
+        ("ecc_mode", ecc_mode_token(key.ecc_mode).into()),
+    ]
+}
+
 /// A directory of versioned trace snapshots, one file per [`TraceKey`].
 #[derive(Debug, Clone)]
 pub struct TraceCorpus {
@@ -267,17 +285,9 @@ impl TraceCorpus {
         let body = trace.to_text();
         let mut out = String::with_capacity(body.len() + 256);
         let _ = writeln!(out, "{CORPUS_MAGIC}");
-        let _ = writeln!(out, "workload {}", key.workload);
-        let _ = writeln!(out, "workload_seed {}", key.workload_seed);
-        let _ = writeln!(out, "requests {}", opt_token(key.requests));
-        let _ = writeln!(out, "phys_bytes {}", key.phys_bytes);
-        let _ = writeln!(out, "swap_policy {}", swap_policy_token(key.swap_policy));
-        let _ = writeln!(
-            out,
-            "scrub_interval_cycles {}",
-            opt_token(key.scrub_interval_cycles)
-        );
-        let _ = writeln!(out, "ecc_mode {}", ecc_mode_token(key.ecc_mode));
+        for (field, value) in key_header(key) {
+            let _ = writeln!(out, "{field} {value}");
+        }
         let _ = writeln!(out, "ops {}", trace.len());
         let _ = writeln!(out, "checksum {:016x}", corpus_checksum(&body));
         let _ = writeln!(out, "---");
@@ -335,112 +345,65 @@ impl TraceCorpus {
     }
 
     /// Parses and validates one corpus file against the key it must serve.
+    /// The header must hold exactly the lines [`TraceCorpus::render`]
+    /// writes, in its order.
     fn parse(path: &Path, key: &TraceKey, content: &str) -> Result<Trace, CorpusError> {
-        let mut lines = content.lines();
-        let magic = lines.next().unwrap_or_default();
+        let corrupt = |detail: String| CorpusError::Corrupt {
+            path: path.to_path_buf(),
+            detail,
+        };
+        let magic = content.lines().next().unwrap_or_default();
         if magic != CORPUS_MAGIC {
             return Err(CorpusError::Version {
                 path: path.to_path_buf(),
                 found: magic.to_string(),
             });
         }
-        let mut ops: Option<u64> = None;
-        let mut checksum: Option<u64> = None;
-        let mut consumed = magic.len() + 1;
-        let mut body_start = None;
-        for line in lines {
-            consumed += line.len() + 1;
-            if line == "---" {
-                body_start = Some(consumed);
-                break;
+        let (header, body) = content
+            .split_once("\n---\n")
+            .ok_or_else(|| corrupt("missing --- separator".into()))?;
+        let mut lines = header.lines().skip(1);
+        let mut value = |field: &str| {
+            let line = lines.next().unwrap_or_default();
+            match line.split_once(' ') {
+                Some((name, found)) if name == field => Ok(found),
+                _ => Err(corrupt(format!("missing {field} header (found {line:?})"))),
             }
-            let (field, value) = line.split_once(' ').ok_or_else(|| CorpusError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!("malformed header line {line:?}"),
-            })?;
-            let expect = |expected: String| -> Result<(), CorpusError> {
-                if value == expected {
-                    Ok(())
-                } else {
-                    Err(CorpusError::KeyMismatch {
-                        path: path.to_path_buf(),
-                        field: match field {
-                            "workload" => "workload",
-                            "workload_seed" => "workload_seed",
-                            "requests" => "requests",
-                            "phys_bytes" => "phys_bytes",
-                            "swap_policy" => "swap_policy",
-                            "scrub_interval_cycles" => "scrub_interval_cycles",
-                            "ecc_mode" => "ecc_mode",
-                            _ => "header field",
-                        },
-                        expected,
-                        found: value.to_string(),
-                    })
-                }
-            };
-            match field {
-                "workload" => expect(key.workload.clone())?,
-                "workload_seed" => expect(key.workload_seed.to_string())?,
-                "requests" => expect(opt_token(key.requests))?,
-                "phys_bytes" => expect(key.phys_bytes.to_string())?,
-                "swap_policy" => expect(swap_policy_token(key.swap_policy).into())?,
-                "scrub_interval_cycles" => expect(opt_token(key.scrub_interval_cycles))?,
-                "ecc_mode" => expect(ecc_mode_token(key.ecc_mode).into())?,
-                "ops" => {
-                    ops = Some(value.parse().map_err(|_| CorpusError::Corrupt {
-                        path: path.to_path_buf(),
-                        detail: format!("unparsable ops count {value:?}"),
-                    })?);
-                }
-                "checksum" => {
-                    checksum =
-                        Some(
-                            u64::from_str_radix(value, 16).map_err(|_| CorpusError::Corrupt {
-                                path: path.to_path_buf(),
-                                detail: format!("unparsable checksum {value:?}"),
-                            })?,
-                        );
-                }
-                other => {
-                    return Err(CorpusError::Corrupt {
-                        path: path.to_path_buf(),
-                        detail: format!("unknown header field {other:?}"),
-                    });
-                }
-            }
-        }
-        let Some(body_start) = body_start else {
-            return Err(CorpusError::Corrupt {
-                path: path.to_path_buf(),
-                detail: "missing --- separator".into(),
-            });
         };
-        let body = &content[body_start..];
-        let expected_sum = checksum.ok_or_else(|| CorpusError::Corrupt {
-            path: path.to_path_buf(),
-            detail: "missing checksum header".into(),
-        })?;
-        let actual_sum = corpus_checksum(body);
-        if actual_sum != expected_sum {
-            return Err(CorpusError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "checksum mismatch (header {expected_sum:016x}, body {actual_sum:016x})"
-                ),
-            });
-        }
-        let trace = Trace::from_text(body).map_err(|e| CorpusError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("trace body does not parse: {e}"),
-        })?;
-        if let Some(expected_ops) = ops {
-            if trace.len() as u64 != expected_ops {
-                return Err(CorpusError::Corrupt {
+        for (field, expected) in key_header(key) {
+            let found = value(field)?;
+            if found != expected {
+                return Err(CorpusError::KeyMismatch {
                     path: path.to_path_buf(),
-                    detail: format!("ops header says {expected_ops}, body holds {}", trace.len()),
+                    field,
+                    expected,
+                    found: found.to_string(),
                 });
             }
+        }
+        let ops = value("ops")?;
+        let ops: usize = ops
+            .parse()
+            .map_err(|_| corrupt(format!("unparsable ops count {ops:?}")))?;
+        let checksum = value("checksum")?;
+        let checksum = u64::from_str_radix(checksum, 16)
+            .map_err(|_| corrupt(format!("unparsable checksum {checksum:?}")))?;
+        if let Some(extra) = lines.next() {
+            return Err(corrupt(format!("unknown header line {extra:?}")));
+        }
+        let actual_sum = corpus_checksum(body);
+        if actual_sum != checksum {
+            return Err(corrupt(format!(
+                "checksum mismatch (header {checksum:016x}, body {actual_sum:016x})"
+            )));
+        }
+        let trace = Trace::from_text(body)
+            .map_err(|e| corrupt(format!("trace body does not parse: {e}")))?;
+        if trace.len() != ops {
+            return Err(corrupt(format!(
+                "ops header says {ops}, body holds {}",
+                trace.len()
+            )));
         }
         Ok(trace)
     }
@@ -466,13 +429,13 @@ pub fn obtain_campaign_trace(
     };
     let key = TraceKey::of(spec);
     match corpus.load(&key) {
-        Ok(Some(trace)) => Ok((RecordedTrace::new(&trace), false)),
+        Ok(Some(columnar)) => Ok((RecordedTrace { columnar }, false)),
         Ok(None) => {
-            let trace = record_trace(spec)?;
+            let columnar = record_trace(spec)?;
             corpus
-                .store(&key, &trace)
+                .store(&key, &columnar)
                 .map_err(|e| CampaignError(e.to_string()))?;
-            Ok((RecordedTrace::new(&trace), true))
+            Ok((RecordedTrace { columnar }, true))
         }
         Err(e) => Err(CampaignError(e.to_string())),
     }
@@ -577,17 +540,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let key = key();
-        let mut bad = Trace::new();
-        bad.push(TraceOp::Malloc {
+        let corpus = TraceCorpus::open(&dir, CorpusMode::ReplayFrom).expect("open replay");
+        // `Trace::push` refuses the unbound id, so write the body by hand.
+        let mut good = Trace::new();
+        good.push(TraceOp::Malloc {
             size: 64,
             frames: vec![0x1],
         });
-        bad.push(TraceOp::Free { id: 3 });
-        TraceCorpus::open(&dir, CorpusMode::Record)
-            .expect("open record")
-            .store(&key, &bad)
-            .expect("store");
-        let corpus = TraceCorpus::open(&dir, CorpusMode::ReplayFrom).expect("open replay");
+        good.push(TraceOp::Free { id: 0 });
+        let checksum = |body: &str| format!("checksum {:016x}", corpus_checksum(body));
+        let bad = TraceCorpus::render(&key, &good)
+            .replace("F 0\n", "F 3\n")
+            .replace(&checksum("M 64 0x1\nF 0\n"), &checksum("M 64 0x1\nF 3\n"));
+        std::fs::write(corpus.path_for(&key), bad).expect("write");
         let err = corpus.load(&key).unwrap_err();
         let _ = std::fs::remove_dir_all(&dir);
         assert!(matches!(err, CorpusError::Corrupt { .. }), "{err:?}");
@@ -597,5 +562,59 @@ mod tests {
             "{msg}"
         );
         assert!(msg.contains("line 2: id not bound"), "{msg}");
+    }
+
+    #[test]
+    fn a_file_ending_at_the_separator_is_corrupt() {
+        // The body starts after the separator's newline; a file that ends
+        // at `---` has none and must not be sliced past its end.
+        let rendered = TraceCorpus::render(&key(), &Trace::new());
+        let cut = rendered.strip_suffix('\n').expect("ends in a newline");
+        let err = TraceCorpus::parse(Path::new("c/s.trace"), &key(), cut).unwrap_err();
+        assert!(err.to_string().contains("missing --- separator"), "{err}");
+    }
+
+    /// The rendered file with the header line for `field` deleted.
+    fn without_header_line(field: &str) -> String {
+        let rendered = TraceCorpus::render(&key(), &trace());
+        let line = rendered
+            .lines()
+            .find(|line| line.split_once(' ').is_some_and(|(name, _)| name == field))
+            .expect("rendered header has the field");
+        rendered.replacen(&format!("{line}\n"), "", 1)
+    }
+
+    #[test]
+    fn a_header_missing_a_key_field_is_corrupt() {
+        for field in [
+            "workload",
+            "workload_seed",
+            "requests",
+            "phys_bytes",
+            "swap_policy",
+            "scrub_interval_cycles",
+            "ecc_mode",
+        ] {
+            let stripped = without_header_line(field);
+            let err = TraceCorpus::parse(Path::new("c/k.trace"), &key(), &stripped).unwrap_err();
+            match &err {
+                CorpusError::Corrupt { detail, .. } => {
+                    assert!(detail.contains(&format!("missing {field} header")), "{err}");
+                }
+                other => panic!("{field}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_header_missing_the_ops_line_is_corrupt() {
+        let stripped = without_header_line("ops");
+        let err = TraceCorpus::parse(Path::new("c/o.trace"), &key(), &stripped).unwrap_err();
+        match &err {
+            CorpusError::Corrupt { detail, .. } => {
+                assert!(detail.contains("missing ops header"), "{err}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -16,8 +16,7 @@ use safemem_core::{
 use safemem_ecc::ControllerStats;
 use safemem_os::{Os, OsConfig, STATIC_BASE};
 use safemem_workloads::{
-    workload_by_name, BugClass, ColumnarReplayer, ColumnarTrace, InputMode, Recorder, RunConfig,
-    RunResult, Trace,
+    workload_by_name, BugClass, ColumnarReplayer, InputMode, Recorder, RunConfig, RunResult, Trace,
 };
 use std::collections::HashSet;
 
@@ -59,7 +58,7 @@ pub struct MarkerCounts {
 impl MarkerCounts {
     /// Counts the markers in a recorded trace's marker column.
     #[must_use]
-    pub fn of(trace: &ColumnarTrace) -> MarkerCounts {
+    pub fn of(trace: &Trace) -> MarkerCounts {
         let mut counts = MarkerCounts::default();
         for kind in trace.markers() {
             match kind {
@@ -288,34 +287,22 @@ fn build_tool(name: &str, spec: &CampaignSpec, os: &mut Os) -> Box<dyn MemTool> 
 /// The differential panel, in scorecard order.
 pub const PANEL: &[&str] = &["safemem", "purify", "memcheck", "pageguard", "none"];
 
-/// A recorded campaign trace, held once in the struct-of-arrays
-/// [`ColumnarTrace`] layout the replay engine scans. Flattening happens once
-/// at record (or corpus-load) time, so every panel cell sharing the
-/// recording replays columns without re-walking an op list.
+/// A recorded campaign trace, held once: every panel cell sharing the
+/// recording replays the same [`Trace`] columns.
 #[derive(Debug, Clone)]
 pub struct RecordedTrace {
-    /// The op stream flattened to columns.
-    pub columnar: ColumnarTrace,
+    /// The recorded op stream, in the column layout the replay engine scans.
+    pub columnar: Trace,
 }
 
-impl RecordedTrace {
-    /// Flattens `trace` into the held layout.
-    #[must_use]
-    pub fn new(trace: &Trace) -> Self {
-        RecordedTrace {
-            columnar: ColumnarTrace::from_trace(trace),
-        }
-    }
-}
-
-/// [`record_trace`] flattened to columns — what the campaign runners
-/// memoize per [`TraceKey`](crate::TraceKey).
+/// [`record_trace`] wrapped for sharing — what the campaign runners memoize
+/// per [`TraceKey`](crate::TraceKey).
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] if the spec names an unknown workload.
 pub fn record_campaign_trace(spec: &CampaignSpec) -> Result<RecordedTrace, CampaignError> {
-    record_trace(spec).map(|trace| RecordedTrace::new(&trace))
+    record_trace(spec).map(|columnar| RecordedTrace { columnar })
 }
 
 /// Runs one campaign: records the ground-truth trace, replays it through the
@@ -397,7 +384,7 @@ pub fn replay_safemem_columnar_with(
 pub fn replay_tools(
     spec: &CampaignSpec,
     tools: &[&'static str],
-    trace: &ColumnarTrace,
+    trace: &Trace,
     mut replay: impl FnMut(&mut Os, &mut dyn MemTool) -> RunResult,
 ) -> Result<(GroundTruth, Vec<ToolScore>), CampaignError> {
     let workload = workload_by_name(&spec.workload)

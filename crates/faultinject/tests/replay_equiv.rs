@@ -22,7 +22,7 @@ use safemem_faultinject::{
     CampaignSpec, CorpusMode, StreamAggregate, TraceCorpus, TraceKey, TraceMode, PANEL,
 };
 use safemem_os::{Os, OsConfig};
-use safemem_workloads::{ColumnarReplayer, ColumnarTrace, Trace, TraceOp};
+use safemem_workloads::{ColumnarReplayer, Trace, TraceOp};
 
 fn golden_matrix() -> Vec<CampaignSpec> {
     // Mirror of the golden-scorecard harness: one leak and one corruption
@@ -126,9 +126,8 @@ fn columnar_and_naive_replay_agree_on_the_golden_matrix() {
     let mut columnar_replayer = ColumnarReplayer::new();
     for spec in golden_matrix() {
         let rec = record_campaign_trace(&spec).expect("record");
-        let trace = record_trace(&spec).expect("record");
         let (truth, tools) = replay_tools(&spec, PANEL, &rec.columnar, |os, tool| {
-            trace.replay_naive(os, tool)
+            rec.columnar.replay_naive(os, tool)
         })
         .expect("naive replay");
         let via_columnar = replay_panel_columnar_with(&spec, &rec, &mut columnar_replayer)
@@ -319,8 +318,6 @@ proptest! {
         ops in proptest::collection::vec(trace_op(24), 0..80),
     ) {
         let trace = well_formed(ops);
-        let columnar = ColumnarTrace::from_trace(&trace);
-        prop_assert_eq!(columnar.len(), trace.len());
 
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
@@ -329,13 +326,13 @@ proptest! {
         let mut replayer = ColumnarReplayer::new();
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
-        let via_columnar = replayer.replay(&columnar, &mut os, &mut tool);
+        let via_columnar = replayer.replay(&trace, &mut os, &mut tool);
         prop_assert_eq!(&naive, &via_columnar);
 
         // Reuse the same replayer: stale slot state must not bleed through.
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
-        let again = replayer.replay(&columnar, &mut os, &mut tool);
+        let again = replayer.replay(&trace, &mut os, &mut tool);
         prop_assert_eq!(&via_columnar, &again);
     }
 }

@@ -297,25 +297,24 @@ impl Heap {
         self.live.get(&addr)
     }
 
-    fn round_up(value: u64, to: u64) -> u64 {
-        value.div_ceil(to) * to
+    /// `value` rounded up to a multiple of `to`, or `None` past `u64::MAX`.
+    fn round_up(value: u64, to: u64) -> Option<u64> {
+        value.div_ceil(to).checked_mul(to)
     }
 
-    /// Footprint and payload offset for a request under `policy`.
-    fn placement(&self, policy: LayoutPolicy, size: u64) -> (u64, u64) {
-        let size = size.max(1);
-        match policy {
-            LayoutPolicy::Natural => (Self::round_up(size, 16), 0),
-            LayoutPolicy::LineAligned => (Self::round_up(size, self.line_bytes), 0),
-            LayoutPolicy::LinePadded => (
-                Self::round_up(size, self.line_bytes) + 2 * self.pad_lines * self.line_bytes,
-                self.pad_lines * self.line_bytes,
-            ),
-            LayoutPolicy::PageGuard => (
-                Self::round_up(size, PAGE_BYTES) + 2 * PAGE_BYTES,
-                PAGE_BYTES,
-            ),
-        }
+    /// Footprint and payload offset for a request under `policy`, or `None`
+    /// when the footprint does not fit in 64 bits.
+    fn placement(&self, policy: LayoutPolicy, size: u64) -> Option<(u64, u64)> {
+        let (unit, pad) = match policy {
+            LayoutPolicy::Natural => (16, 0),
+            LayoutPolicy::LineAligned => (self.line_bytes, 0),
+            LayoutPolicy::LinePadded => (self.line_bytes, self.pad_lines * self.line_bytes),
+            LayoutPolicy::PageGuard => (PAGE_BYTES, PAGE_BYTES),
+        };
+        let stride = Self::round_up(size.max(1), unit)?
+            .checked_add(pad)?
+            .checked_add(pad)?;
+        Some((stride, pad))
     }
 
     /// Allocates `size` bytes (`malloc`).
@@ -344,7 +343,7 @@ impl Heap {
         policy: LayoutPolicy,
     ) -> Result<Allocation, AllocError> {
         os.compute(os.machine().cost().allocator_op_cycles);
-        let (stride, offset) = self.placement(policy, size);
+        let (stride, offset) = self.placement(policy, size).ok_or(AllocError::OutOfHeap)?;
         let (base, reused) = match self
             .free_lists
             .get_mut(&(stride, offset))
@@ -352,11 +351,12 @@ impl Heap {
         {
             Some(base) => (base, true),
             None => {
-                let base = Self::round_up(self.bump, stride.clamp(16, PAGE_BYTES));
-                if base + stride > self.limit {
-                    return Err(AllocError::OutOfHeap);
-                }
-                self.bump = base + stride;
+                let base = Self::round_up(self.bump, stride.clamp(16, PAGE_BYTES))
+                    .ok_or(AllocError::OutOfHeap)?;
+                self.bump = base
+                    .checked_add(stride)
+                    .filter(|&end| end <= self.limit)
+                    .ok_or(AllocError::OutOfHeap)?;
                 (base, false)
             }
         };
@@ -470,6 +470,30 @@ mod tests {
 
     fn os() -> Os {
         Os::with_defaults(1 << 22)
+    }
+
+    #[test]
+    fn sizes_past_the_address_space_are_out_of_heap() {
+        for policy in [
+            LayoutPolicy::Natural,
+            LayoutPolicy::LineAligned,
+            LayoutPolicy::LinePadded,
+            LayoutPolicy::PageGuard,
+        ] {
+            let mut os = os();
+            let mut h = Heap::new(policy);
+            for size in [u64::MAX, u64::MAX - 63] {
+                assert_eq!(
+                    h.alloc(&mut os, size),
+                    Err(AllocError::OutOfHeap),
+                    "{policy:?} size {size:#x}"
+                );
+            }
+            assert!(
+                h.alloc(&mut os, 64).is_ok(),
+                "{policy:?}: heap still usable"
+            );
+        }
     }
 
     #[test]

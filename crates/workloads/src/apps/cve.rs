@@ -326,7 +326,6 @@ mod tests {
             let trace = recorder.into_trace();
             let markers = trace
                 .ops()
-                .iter()
                 .filter(|op| matches!(op, TraceOp::Marker { .. }))
                 .count();
             assert_eq!(markers, 2, "{}", w.spec().name);

@@ -1,19 +1,11 @@
-//! Struct-of-arrays trace layout for the campaign replay hot loop.
+//! The campaign replay engine: one scan over a [`Trace`]'s columns.
 //!
-//! A [`Trace`](crate::Trace) stores one Rust enum per operation: 48 bytes
-//! of tagged union (plus a heap `Vec` per `Malloc` for its call-stack
-//! frames) walked through a ten-arm `match`. Campaigns replay each recorded
-//! trace once per panel tool, so that walk — pointer-chasing, cold per-op
-//! payloads, unpredictable dispatch — is the inner loop of every preset.
-//!
-//! [`ColumnarTrace`] flattens the same op stream into parallel columns:
-//! one byte of op kind, one `u32` slot id, one `i64` offset, one `u32`
-//! length and one `u8` fill byte per op, plus *side columns* — a packed
-//! freed-access flag bitset, the marker classes in emission order, and all
-//! call-stack frames flattened into a single `u64` array with per-malloc
-//! lengths. The replay scan streams these columns front to back: each
-//! column is dense and homogeneous, the kind byte drives one well-predicted
-//! jump table, and nothing in the loop allocates.
+//! Campaigns replay each recorded trace once per panel tool, so this scan is
+//! the inner loop of every preset. A [`Trace`] already stores its ops as
+//! struct-of-arrays columns (one op kind, slot id, offset, length and fill
+//! byte per op, plus the flattened `Malloc` frames and the marker classes),
+//! so the scan streams dense homogeneous columns front to back: the kind
+//! drives one jump table, and nothing in the loop allocates.
 //!
 //! This is the one production replay engine: [`Trace::replay`], the
 //! campaign oracle and every campaign runner replay through it.
@@ -22,190 +14,23 @@
 //! asserts equal [`RunResult`]s.
 
 use crate::driver::RunResult;
-use crate::trace::{Trace, TraceOp};
-use safemem_core::{CallStack, IncidentClass, MemTool};
+use crate::trace::{OpKind, Trace};
+use safemem_core::{CallStack, MemTool};
 use safemem_os::Os;
-
-/// Dense op discriminant for the kind column. The numeric values are an
-/// internal layout detail (they never leave the process; the on-disk corpus
-/// stores the text op tags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum OpKind {
-    /// Binds the next dense slot id; frames live in the side columns.
-    Malloc = 0,
-    /// Frees a live slot (no-op on a retired slot).
-    Free = 1,
-    /// Reads `len` bytes at `offset` within a live slot.
-    Read = 2,
-    /// Writes `len` bytes of `fill` at `offset` within a live slot.
-    Write = 3,
-    /// CPU work: `offset` holds cycles; the memory-access count is split
-    /// across the slot (high 32 bits) and length (low 32 bits) columns.
-    Compute = 4,
-    /// Blocking I/O: `offset` holds nanoseconds.
-    Io = 5,
-    /// Ground-truth incident marker; the class sits in the marker column.
-    Marker = 6,
-}
 
 /// Flag bit marking a retired (freed) slot in the replayer's slot map. The
 /// freed address is kept under the flag so freed-access ops can still
 /// resolve it; heap virtual addresses never reach bit 63.
 const RETIRED: u64 = 1 << 63;
 
-/// A recorded op stream flattened to struct-of-arrays columns.
-///
-/// Build one with [`ColumnarTrace::from_trace`]; replay it with
-/// [`ColumnarTrace::replay`] or, reusing buffers across traces, with
-/// [`ColumnarReplayer::replay`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ColumnarTrace {
-    /// Op kind per operation.
-    kinds: Vec<OpKind>,
-    /// Slot (buffer) id per operation; 0 where the kind has no slot.
-    slots: Vec<u32>,
-    /// Byte offset within the slot's buffer; cycles for `Compute`,
-    /// nanoseconds (bit-cast) for `Io`; 0 where unused.
-    offsets: Vec<i64>,
-    /// Access length; memory accesses for `Compute`; 0 where unused.
-    lens: Vec<u32>,
-    /// Fill byte for writes; 0 where unused.
-    fills: Vec<u8>,
-    /// Side column: packed bitset, bit `i` set = op `i` targets a *freed*
-    /// slot (`ReadFreed`/`WriteFreed`/`FreeAgain` in the enum layout).
-    freed: Vec<u64>,
-    /// Side column: marker classes in emission order, consumed by a cursor
-    /// at each `Marker` kind.
-    markers: Vec<IncidentClass>,
-    /// Side column: call-stack frames of every `Malloc`, flattened.
-    frames: Vec<u64>,
-    /// Side column: frames-per-malloc, consumed by a cursor.
-    frame_lens: Vec<u32>,
-}
-
-impl ColumnarTrace {
-    /// Flattens an enum-layout trace into columns. Pure layout change: the
-    /// op stream, ids and payloads are preserved exactly.
-    #[must_use]
-    pub fn from_trace(trace: &Trace) -> Self {
-        let n = trace.len();
-        let mut t = ColumnarTrace {
-            kinds: Vec::with_capacity(n),
-            slots: Vec::with_capacity(n),
-            offsets: Vec::with_capacity(n),
-            lens: Vec::with_capacity(n),
-            fills: Vec::with_capacity(n),
-            freed: vec![0u64; n.div_ceil(64)],
-            markers: Vec::new(),
-            frames: Vec::new(),
-            frame_lens: Vec::new(),
-        };
-        for (i, op) in trace.ops().iter().enumerate() {
-            let (kind, slot, offset, len, fill) = match op {
-                TraceOp::Malloc { size, frames } => {
-                    t.frames.extend_from_slice(frames);
-                    t.frame_lens.push(frames.len() as u32);
-                    #[allow(clippy::cast_possible_wrap)]
-                    (OpKind::Malloc, 0, *size as i64, 0, 0)
-                }
-                TraceOp::Free { id } => (OpKind::Free, *id, 0, 0, 0),
-                TraceOp::Read { id, offset, len } => (OpKind::Read, *id, *offset, *len, 0),
-                TraceOp::Write {
-                    id,
-                    offset,
-                    len,
-                    fill,
-                } => (OpKind::Write, *id, *offset, *len, *fill),
-                TraceOp::Compute {
-                    cycles,
-                    mem_accesses,
-                } =>
-                {
-                    #[allow(clippy::cast_possible_wrap, clippy::cast_possible_truncation)]
-                    (
-                        OpKind::Compute,
-                        (*mem_accesses >> 32) as u32,
-                        *cycles as i64,
-                        *mem_accesses as u32,
-                        0,
-                    )
-                }
-                TraceOp::Io { ns } =>
-                {
-                    #[allow(clippy::cast_possible_wrap)]
-                    (OpKind::Io, 0, *ns as i64, 0, 0)
-                }
-                TraceOp::ReadFreed { id, offset, len } => {
-                    t.freed[i / 64] |= 1u64 << (i % 64);
-                    (OpKind::Read, *id, *offset, *len, 0)
-                }
-                TraceOp::WriteFreed {
-                    id,
-                    offset,
-                    len,
-                    fill,
-                } => {
-                    t.freed[i / 64] |= 1u64 << (i % 64);
-                    (OpKind::Write, *id, *offset, *len, *fill)
-                }
-                TraceOp::FreeAgain { id } => {
-                    t.freed[i / 64] |= 1u64 << (i % 64);
-                    (OpKind::Free, *id, 0, 0, 0)
-                }
-                TraceOp::Marker { kind } => {
-                    t.markers.push(*kind);
-                    (OpKind::Marker, 0, 0, 0, 0)
-                }
-            };
-            t.kinds.push(kind);
-            t.slots.push(slot);
-            t.offsets.push(offset);
-            t.lens.push(len);
-            t.fills.push(fill);
-        }
-        t
-    }
-
-    /// Number of operations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// Whether the trace holds no operations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
-    }
-
-    /// Number of `Malloc` ops — the binomial `n` for sampling statistics,
-    /// identical to [`Trace::malloc_count`] on the source trace.
-    #[must_use]
-    pub fn malloc_count(&self) -> u64 {
-        self.frame_lens.len() as u64
-    }
-
-    /// The ground-truth incident markers, in emission order.
-    #[must_use]
-    pub fn markers(&self) -> &[IncidentClass] {
-        &self.markers
-    }
-
-    /// Replays against a tool with fresh buffers. Campaign loops should
-    /// hold a [`ColumnarReplayer`] and reuse it instead.
-    pub fn replay(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
-        ColumnarReplayer::new().replay(self, os, tool)
-    }
-}
-
-/// Reusable buffers for the columnar replay scan: a dense slot map from
-/// buffer id to replay-tool address (with the retired-flag bit), and one
-/// grow-only scratch payload. Freed accesses are skipped unless the op
-/// carries the freed flag, and ids no `Malloc` ever bound trip a debug
-/// assertion. A worker holds one replayer across every trace it replays,
-/// so the scan touches the allocator only when a trace's largest access
-/// grows the scratch.
+/// Reusable buffers for the replay scan: a dense slot map from buffer id to
+/// replay-tool address (with the retired-flag bit), and one grow-only
+/// scratch payload. An access is skipped when its slot's state (live or
+/// freed) is not the one its op kind names. [`Trace::push`] has already
+/// checked that every id was bound, so the scan indexes the slot map
+/// directly. A worker holds one replayer across every trace it replays, so
+/// the scan touches the allocator only when a trace's largest access grows
+/// the scratch.
 #[derive(Debug, Default)]
 pub struct ColumnarReplayer {
     addrs: Vec<u64>,
@@ -219,105 +44,69 @@ impl ColumnarReplayer {
         ColumnarReplayer::default()
     }
 
-    fn scratch_mut(&mut self, len: usize) -> &mut [u8] {
+    fn scratch_mut(&mut self, len: u32) -> &mut [u8] {
+        let len = len as usize;
         if self.scratch.len() < len {
             self.scratch.resize(len, 0);
         }
         &mut self.scratch[..len]
     }
 
-    /// Replays a columnar trace. Equivalent to
-    /// [`Trace::replay_naive`] on the source trace; the differential suites
-    /// assert equal [`RunResult`]s over golden campaign seeds and
-    /// proptest-generated op streams.
-    pub fn replay(
-        &mut self,
-        trace: &ColumnarTrace,
-        os: &mut Os,
-        tool: &mut dyn MemTool,
-    ) -> RunResult {
+    /// The replay address `offset` bytes into `slot`, or `None` when the
+    /// slot is live and the op expects it `freed`, or the other way round.
+    fn target(&self, slot: usize, freed: bool, offset: i64) -> Option<u64> {
+        let a = self.addrs[slot];
+        ((a & RETIRED != 0) == freed).then(|| (a & !RETIRED).wrapping_add_signed(offset))
+    }
+
+    /// Replays a trace. Equivalent to [`Trace::replay_naive`]; the
+    /// differential suites assert equal [`RunResult`]s over golden campaign
+    /// seeds and proptest-generated op streams.
+    pub fn replay(&mut self, trace: &Trace, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
         self.addrs.clear();
-        let mut marker_cursor = 0usize;
-        let mut frame_cursor = 0usize;
-        let mut malloc_cursor = 0usize;
-        for i in 0..trace.kinds.len() {
+        let (mut frame_at, mut markers) = (0, trace.markers().iter());
+        for i in 0..trace.len() {
             let slot = trace.slots[i] as usize;
-            let freed = trace.freed[i / 64] >> (i % 64) & 1 != 0;
+            let (offset, len) = (trace.offsets[i], trace.lens[i]);
             match trace.kinds[i] {
                 OpKind::Malloc => {
-                    let nframes = trace.frame_lens[malloc_cursor] as usize;
-                    malloc_cursor += 1;
-                    let frames = &trace.frames[frame_cursor..frame_cursor + nframes];
-                    frame_cursor += nframes;
-                    let stack = CallStack::new(frames);
-                    #[allow(clippy::cast_sign_loss)]
-                    let size = trace.offsets[i] as u64;
-                    self.addrs.push(tool.malloc(os, size, &stack));
+                    let frames = &trace.frames[frame_at..frame_at + len as usize];
+                    frame_at += len as usize;
+                    let addr = tool.malloc(os, offset as u64, &CallStack::new(frames));
+                    self.addrs.push(addr);
                 }
                 OpKind::Free => {
-                    debug_assert!(
-                        slot < self.addrs.len(),
-                        "trace frees id {slot} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get_mut(slot) {
-                        Some(s) if !freed && *s & RETIRED == 0 => {
-                            let addr = *s;
-                            *s = addr | RETIRED;
-                            tool.free(os, addr);
-                        }
-                        Some(s) if freed && *s & RETIRED != 0 => {
-                            let addr = *s & !RETIRED;
-                            tool.free(os, addr);
-                        }
-                        _ => {}
+                    let addr = self.addrs[slot];
+                    if addr & RETIRED == 0 {
+                        self.addrs[slot] = addr | RETIRED;
+                        tool.free(os, addr);
                     }
                 }
-                OpKind::Read => {
-                    debug_assert!(
-                        slot < self.addrs.len(),
-                        "trace reads id {slot} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(slot).copied() {
-                        Some(a) if (a & RETIRED != 0) == freed => {
-                            let addr = (a & !RETIRED).wrapping_add_signed(trace.offsets[i]);
-                            let buf = self.scratch_mut(trace.lens[i] as usize);
-                            tool.read(os, addr, buf);
-                        }
-                        _ => {}
+                OpKind::FreeAgain => {
+                    if let Some(addr) = self.target(slot, true, 0) {
+                        tool.free(os, addr);
                     }
                 }
-                OpKind::Write => {
-                    debug_assert!(
-                        slot < self.addrs.len(),
-                        "trace writes id {slot} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(slot).copied() {
-                        Some(a) if (a & RETIRED != 0) == freed => {
-                            let addr = (a & !RETIRED).wrapping_add_signed(trace.offsets[i]);
-                            let fill = trace.fills[i];
-                            let data = self.scratch_mut(trace.lens[i] as usize);
-                            data.fill(fill);
-                            tool.write(os, addr, data);
-                        }
-                        _ => {}
+                kind @ (OpKind::Read | OpKind::ReadFreed) => {
+                    if let Some(addr) = self.target(slot, kind == OpKind::ReadFreed, offset) {
+                        tool.read(os, addr, self.scratch_mut(len));
+                    }
+                }
+                kind @ (OpKind::Write | OpKind::WriteFreed) => {
+                    if let Some(addr) = self.target(slot, kind == OpKind::WriteFreed, offset) {
+                        let data = self.scratch_mut(len);
+                        data.fill(trace.fills[i]);
+                        tool.write(os, addr, data);
                     }
                 }
                 OpKind::Compute => {
-                    #[allow(clippy::cast_sign_loss)]
-                    let cycles = trace.offsets[i] as u64;
-                    let mem_accesses = (slot as u64) << 32 | u64::from(trace.lens[i]);
-                    tool.compute(os, cycles, mem_accesses);
+                    let mem_accesses = (slot as u64) << 32 | u64::from(len);
+                    tool.compute(os, offset as u64, mem_accesses);
                 }
-                OpKind::Io => {
-                    #[allow(clippy::cast_sign_loss)]
-                    os.io_wait_ns(trace.offsets[i] as u64);
-                }
+                OpKind::Io => os.io_wait_ns(offset as u64),
                 OpKind::Marker => {
-                    tool.mark_incident(trace.markers[marker_cursor]);
-                    marker_cursor += 1;
+                    let kind = markers.next().expect("one marker class per marker op");
+                    tool.mark_incident(*kind);
                 }
             }
         }
@@ -333,7 +122,8 @@ impl ColumnarReplayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safemem_core::{NullTool, SafeMem};
+    use crate::trace::TraceOp;
+    use safemem_core::{IncidentClass, NullTool, SafeMem};
 
     fn uaf_trace() -> Trace {
         let mut t = Trace::new();
@@ -371,10 +161,8 @@ mod tests {
     #[test]
     fn columnar_replay_matches_naive_replay_on_freed_ops() {
         let t = uaf_trace();
-        let col = ColumnarTrace::from_trace(&t);
-        assert_eq!(col.len(), t.len());
-        assert_eq!(col.malloc_count(), t.malloc_count());
-        assert_eq!(col.markers().len(), 2);
+        assert_eq!(t.malloc_count(), 1);
+        assert_eq!(t.markers().len(), 2);
         let naive_run = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
@@ -383,7 +171,7 @@ mod tests {
         let col_run = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
-            col.replay(&mut os, &mut tool)
+            t.replay(&mut os, &mut tool)
         };
         assert_eq!(naive_run, col_run);
         assert!(col_run.corruption_detected());
@@ -402,10 +190,9 @@ mod tests {
             offset: 0,
             len: 8,
         });
-        let col = ColumnarTrace::from_trace(&t);
         let mut os = Os::with_defaults(1 << 22);
         let mut tool = NullTool::new();
-        let result = col.replay(&mut os, &mut tool);
+        let result = t.replay(&mut os, &mut tool);
         assert!(result.reports.is_empty());
     }
 
@@ -424,19 +211,18 @@ mod tests {
             fill: 5,
         });
         b.push(TraceOp::Free { id: 0 });
-        let (ca, cb) = (ColumnarTrace::from_trace(&a), ColumnarTrace::from_trace(&b));
         let fresh = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = SafeMem::builder().build(&mut os);
-            cb.replay(&mut os, &mut tool)
+            b.replay(&mut os, &mut tool)
         };
         let mut r = ColumnarReplayer::new();
         let mut os = Os::with_defaults(1 << 22);
         let mut tool = SafeMem::builder().build(&mut os);
-        r.replay(&ca, &mut os, &mut tool);
+        r.replay(&a, &mut os, &mut tool);
         let mut os = Os::with_defaults(1 << 22);
         let mut tool = SafeMem::builder().build(&mut os);
-        let reused = r.replay(&cb, &mut os, &mut tool);
+        let reused = r.replay(&b, &mut os, &mut tool);
         assert_eq!(fresh, reused);
     }
 
@@ -447,7 +233,6 @@ mod tests {
             cycles: u64::MAX / 2,
             mem_accesses: (7u64 << 32) | 123,
         });
-        let col = ColumnarTrace::from_trace(&t);
         let run_naive = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = NullTool::new();
@@ -456,7 +241,7 @@ mod tests {
         let run_col = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = NullTool::new();
-            col.replay(&mut os, &mut tool)
+            t.replay(&mut os, &mut tool)
         };
         assert_eq!(run_naive, run_col);
     }

@@ -9,10 +9,11 @@
 //! bookkeeping for false-positive counting.
 //!
 //! A run can be captured as a [`Trace`] by the [`Recorder`] and replayed
-//! under any tool. Replay has one production engine, [`ColumnarReplayer`],
-//! over the struct-of-arrays [`ColumnarTrace`] layout; [`Trace::replay`]
-//! flattens and delegates to it. `Trace::replay_naive` is kept only as the
-//! reference the engine is tested against.
+//! under any tool. A [`Trace`] stores its ops as struct-of-arrays columns,
+//! and replay has one production engine, [`ColumnarReplayer`], which scans
+//! them; [`Trace::replay`] delegates to it. `Trace::replay_naive`, which
+//! walks [`Trace::ops`], is kept only as the reference the engine is tested
+//! against.
 //!
 //! # Example
 //!
@@ -39,7 +40,7 @@ pub mod registry;
 pub mod synthetic;
 pub mod trace;
 
-pub use columnar::{ColumnarReplayer, ColumnarTrace, OpKind};
+pub use columnar::ColumnarReplayer;
 pub use driver::{
     group_of, run_under, AppSpec, BugClass, Ctx, FpPool, InputMode, RunConfig, RunResult, Workload,
 };

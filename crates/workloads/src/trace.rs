@@ -11,8 +11,14 @@
 //! A [`Recorder`] wraps any [`MemTool`] and captures the op stream; replay
 //! re-issues it through another tool, translating recorded buffer ids to
 //! the replay tool's addresses (placements differ across layout policies).
+//!
+//! A [`Trace`] stores its ops as struct-of-arrays columns, the one layout
+//! both the replay engine and the text format read. [`Trace::push`] is the
+//! only way in: it writes one [`TraceOp`] into the columns and checks that
+//! its buffer id was bound by an earlier `Malloc`. [`Trace::ops`] decodes
+//! the columns back into owned [`TraceOp`]s.
 
-use crate::columnar::ColumnarTrace;
+use crate::columnar::ColumnarReplayer;
 use crate::driver::RunResult;
 use safemem_core::{CallStack, IncidentClass, MemTool};
 use safemem_os::Os;
@@ -107,11 +113,54 @@ pub enum TraceOp {
     },
 }
 
-/// A recorded operation stream.
+/// Op kind of one row of a [`Trace`]'s columns, one value per [`TraceOp`]
+/// variant. The values never leave the process: the text format stores op
+/// tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub(crate) enum OpKind {
+    Malloc,
+    Free,
+    Read,
+    Write,
+    Compute,
+    Io,
+    ReadFreed,
+    WriteFreed,
+    FreeAgain,
+    Marker,
+}
+
+/// A recorded operation stream, stored as the struct-of-arrays columns the
+/// replay engine ([`ColumnarReplayer`](crate::ColumnarReplayer)) scans.
+///
+/// Every op fills one row of the kind, slot, offset, length and fill
+/// columns, with 0 in the cells its kind does not use. `Malloc` keeps its
+/// size in the offset and its frame count in the length, and appends its
+/// frames to one flattened frame column. `Compute` keeps its cycles in the
+/// offset and splits its memory-access count across the slot (high 32 bits)
+/// and the length (low 32 bits); `Io` keeps its nanoseconds in the offset;
+/// `Marker` appends its class to the marker column. [`Trace::push`] writes
+/// a row and [`Trace::ops`] decodes the rows back.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
-    ops: Vec<TraceOp>,
+    /// Op kind per row.
+    pub(crate) kinds: Vec<OpKind>,
+    /// Buffer id, bound by an earlier `Malloc` wherever the kind names one.
+    pub(crate) slots: Vec<u32>,
+    /// Byte offset within the buffer; the 64-bit payload of the other kinds.
+    pub(crate) offsets: Vec<i64>,
+    /// Access length; the 32-bit payload of the other kinds.
+    pub(crate) lens: Vec<u32>,
+    /// Fill byte of a write.
+    pub(crate) fills: Vec<u8>,
+    /// Marker classes in emission order.
+    markers: Vec<IncidentClass>,
+    /// Call-stack frames of every `Malloc`, in op order.
+    pub(crate) frames: Vec<u64>,
+    /// `Malloc` ops so far: ids `0..mallocs` are bound.
+    mallocs: u64,
 }
 
 /// The next token of a trace line parsed as a decimal `T`, or `None` if the
@@ -127,22 +176,59 @@ impl Trace {
         Trace::default()
     }
 
-    /// The recorded operations.
-    #[must_use]
-    pub fn ops(&self) -> &[TraceOp] {
-        &self.ops
+    /// The recorded operations, decoded from the columns in push order.
+    pub fn ops(&self) -> impl Iterator<Item = TraceOp> + '_ {
+        let (mut frame_at, mut markers) = (0, self.markers.iter());
+        (0..self.len()).map(move |i| {
+            let (id, offset, len, fill) =
+                (self.slots[i], self.offsets[i], self.lens[i], self.fills[i]);
+            match self.kinds[i] {
+                OpKind::Malloc => {
+                    let frames = self.frames[frame_at..frame_at + len as usize].to_vec();
+                    frame_at += len as usize;
+                    TraceOp::Malloc {
+                        size: offset as u64,
+                        frames,
+                    }
+                }
+                OpKind::Free => TraceOp::Free { id },
+                OpKind::Read => TraceOp::Read { id, offset, len },
+                OpKind::Write => TraceOp::Write {
+                    id,
+                    offset,
+                    len,
+                    fill,
+                },
+                OpKind::Compute => TraceOp::Compute {
+                    cycles: offset as u64,
+                    mem_accesses: u64::from(id) << 32 | u64::from(len),
+                },
+                OpKind::Io => TraceOp::Io { ns: offset as u64 },
+                OpKind::ReadFreed => TraceOp::ReadFreed { id, offset, len },
+                OpKind::WriteFreed => TraceOp::WriteFreed {
+                    id,
+                    offset,
+                    len,
+                    fill,
+                },
+                OpKind::FreeAgain => TraceOp::FreeAgain { id },
+                OpKind::Marker => TraceOp::Marker {
+                    kind: *markers.next().expect("one marker class per marker op"),
+                },
+            }
+        })
     }
 
     /// Number of operations.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.kinds.len()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Number of allocation ops in the trace. Replay feeds every `Malloc`
@@ -151,16 +237,78 @@ impl Trace {
     /// campaign-level statistical tests use it as the binomial `n`.
     #[must_use]
     pub fn malloc_count(&self) -> u64 {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TraceOp::Malloc { .. }))
-            .count() as u64
+        self.mallocs
+    }
+
+    /// The ground-truth incident markers, in emission order.
+    #[must_use]
+    pub fn markers(&self) -> &[IncidentClass] {
+        &self.markers
     }
 
     /// Appends an operation (used by [`Recorder`]; also handy for building
     /// synthetic traces in tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a free, read or write (freed variants included) names a
+    /// buffer id that no earlier `Malloc` bound: replay could only drop
+    /// such an op. [`Trace::from_text`] rejects those lines with an error
+    /// before it pushes anything.
     pub fn push(&mut self, op: TraceOp) {
-        self.ops.push(op);
+        let bound = self.mallocs;
+        let checked = |id: u32| {
+            assert!(
+                u64::from(id) < bound,
+                "trace op names buffer id {id} but only {bound} ids were bound"
+            );
+            id
+        };
+        let (kind, slot, offset, len, fill) = match op {
+            TraceOp::Malloc { size, frames } => {
+                self.frames.extend_from_slice(&frames);
+                self.mallocs += 1;
+                (OpKind::Malloc, 0, size as i64, frames.len() as u32, 0)
+            }
+            TraceOp::Free { id } => (OpKind::Free, checked(id), 0, 0, 0),
+            TraceOp::Read { id, offset, len } => (OpKind::Read, checked(id), offset, len, 0),
+            TraceOp::Write {
+                id,
+                offset,
+                len,
+                fill,
+            } => (OpKind::Write, checked(id), offset, len, fill),
+            TraceOp::Compute {
+                cycles,
+                mem_accesses,
+            } => (
+                OpKind::Compute,
+                (mem_accesses >> 32) as u32,
+                cycles as i64,
+                mem_accesses as u32,
+                0,
+            ),
+            TraceOp::Io { ns } => (OpKind::Io, 0, ns as i64, 0, 0),
+            TraceOp::ReadFreed { id, offset, len } => {
+                (OpKind::ReadFreed, checked(id), offset, len, 0)
+            }
+            TraceOp::WriteFreed {
+                id,
+                offset,
+                len,
+                fill,
+            } => (OpKind::WriteFreed, checked(id), offset, len, fill),
+            TraceOp::FreeAgain { id } => (OpKind::FreeAgain, checked(id), 0, 0, 0),
+            TraceOp::Marker { kind } => {
+                self.markers.push(kind);
+                (OpKind::Marker, 0, 0, 0, 0)
+            }
+        };
+        self.kinds.push(kind);
+        self.slots.push(slot);
+        self.offsets.push(offset);
+        self.lens.push(len);
+        self.fills.push(fill);
     }
 
     /// Serialises to a compact line-oriented text format (one op per line).
@@ -168,7 +316,7 @@ impl Trace {
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for op in &self.ops {
+        for op in self.ops() {
             match op {
                 TraceOp::Malloc { size, frames } => {
                     let _ = write!(out, "M {size}");
@@ -323,44 +471,40 @@ impl Trace {
     }
 
     /// Replays the trace against a tool through the one production engine,
-    /// [`ColumnarReplayer`](crate::ColumnarReplayer). Accesses whose buffer
-    /// was freed are skipped (a trace replayed under a different layout has
-    /// no meaningful address for them); accesses naming an id no `Malloc`
-    /// ever bound trip a debug assertion.
-    ///
-    /// Flattens the trace on every call; campaign loops that replay one
-    /// trace many times should flatten it once into a [`ColumnarTrace`] and
-    /// hold one [`ColumnarReplayer`](crate::ColumnarReplayer) instead.
+    /// [`ColumnarReplayer`]. Accesses whose buffer was freed are skipped (a
+    /// trace replayed under a different layout has no meaningful address
+    /// for them). Campaign loops that replay many traces hold one
+    /// [`ColumnarReplayer`] and reuse its buffers instead.
     pub fn replay(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
-        ColumnarTrace::from_trace(self).replay(os, tool)
+        ColumnarReplayer::new().replay(self, os, tool)
     }
 
-    /// The self-contained per-op-allocating replay: the single reference the
-    /// columnar engine is differentially tested against (tests and the
-    /// `replay` benchmark call it; production code calls
-    /// [`Trace::replay`]).
+    /// The self-contained per-op-allocating replay over [`Trace::ops`]: the
+    /// single reference the columnar engine is differentially tested
+    /// against (tests and the `replay` benchmark call it; production code
+    /// calls [`Trace::replay`]).
     pub fn replay_naive(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
         let mut addrs: HashMap<u32, u64> = HashMap::new();
         let mut freed: HashMap<u32, u64> = HashMap::new();
         let mut next_id: u32 = 0;
-        for op in &self.ops {
+        for op in self.ops() {
             match op {
                 TraceOp::Malloc { size, frames } => {
-                    let stack = CallStack::new(frames);
-                    let addr = tool.malloc(os, *size, &stack);
+                    let stack = CallStack::new(&frames);
+                    let addr = tool.malloc(os, size, &stack);
                     addrs.insert(next_id, addr);
                     next_id += 1;
                 }
                 TraceOp::Free { id } => {
-                    if let Some(addr) = addrs.remove(id) {
-                        freed.insert(*id, addr);
+                    if let Some(addr) = addrs.remove(&id) {
+                        freed.insert(id, addr);
                         tool.free(os, addr);
                     }
                 }
                 TraceOp::Read { id, offset, len } => {
-                    if let Some(&addr) = addrs.get(id) {
-                        let mut buf = vec![0u8; *len as usize];
-                        tool.read(os, addr.wrapping_add_signed(*offset), &mut buf);
+                    if let Some(&addr) = addrs.get(&id) {
+                        let mut buf = vec![0u8; len as usize];
+                        tool.read(os, addr.wrapping_add_signed(offset), &mut buf);
                     }
                 }
                 TraceOp::Write {
@@ -369,22 +513,22 @@ impl Trace {
                     len,
                     fill,
                 } => {
-                    if let Some(&addr) = addrs.get(id) {
-                        let data = vec![*fill; *len as usize];
-                        tool.write(os, addr.wrapping_add_signed(*offset), &data);
+                    if let Some(&addr) = addrs.get(&id) {
+                        let data = vec![fill; len as usize];
+                        tool.write(os, addr.wrapping_add_signed(offset), &data);
                     }
                 }
                 TraceOp::Compute {
                     cycles,
                     mem_accesses,
                 } => {
-                    tool.compute(os, *cycles, *mem_accesses);
+                    tool.compute(os, cycles, mem_accesses);
                 }
-                TraceOp::Io { ns } => os.io_wait_ns(*ns),
+                TraceOp::Io { ns } => os.io_wait_ns(ns),
                 TraceOp::ReadFreed { id, offset, len } => {
-                    if let Some(&addr) = freed.get(id) {
-                        let mut buf = vec![0u8; *len as usize];
-                        tool.read(os, addr.wrapping_add_signed(*offset), &mut buf);
+                    if let Some(&addr) = freed.get(&id) {
+                        let mut buf = vec![0u8; len as usize];
+                        tool.read(os, addr.wrapping_add_signed(offset), &mut buf);
                     }
                 }
                 TraceOp::WriteFreed {
@@ -393,17 +537,17 @@ impl Trace {
                     len,
                     fill,
                 } => {
-                    if let Some(&addr) = freed.get(id) {
-                        let data = vec![*fill; *len as usize];
-                        tool.write(os, addr.wrapping_add_signed(*offset), &data);
+                    if let Some(&addr) = freed.get(&id) {
+                        let data = vec![fill; len as usize];
+                        tool.write(os, addr.wrapping_add_signed(offset), &data);
                     }
                 }
                 TraceOp::FreeAgain { id } => {
-                    if let Some(&addr) = freed.get(id) {
+                    if let Some(&addr) = freed.get(&id) {
                         tool.free(os, addr);
                     }
                 }
-                TraceOp::Marker { kind } => tool.mark_incident(*kind),
+                TraceOp::Marker { kind } => tool.mark_incident(kind),
             }
         }
         tool.finish(os);
@@ -777,7 +921,7 @@ mod tests {
         recorder.read(&mut os, a + 8, &mut [0u8; 4]); // UAF read
         recorder.free(&mut os, a); // double free
         let trace = recorder.into_trace();
-        assert!(trace.ops().iter().any(|op| matches!(
+        assert!(trace.ops().any(|op| matches!(
             op,
             TraceOp::ReadFreed {
                 id: 0,
@@ -787,7 +931,6 @@ mod tests {
         )));
         assert!(trace
             .ops()
-            .iter()
             .any(|op| matches!(op, TraceOp::FreeAgain { id: 0 })));
     }
 
@@ -814,11 +957,9 @@ mod tests {
         let tracked = run(true);
         assert!(!plain
             .ops()
-            .iter()
             .any(|op| matches!(op, TraceOp::ReadFreed { .. })));
         assert!(tracked
             .ops()
-            .iter()
             .any(|op| matches!(op, TraceOp::ReadFreed { .. })));
     }
 
@@ -914,18 +1055,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ids were bound")]
-    #[cfg(debug_assertions)]
-    fn never_bound_id_trips_the_debug_assertion() {
-        let mut t = Trace::new();
-        t.push(TraceOp::Read {
-            id: 7,
-            offset: 0,
-            len: 8,
-        });
-        let mut os = Os::with_defaults(1 << 22);
-        let mut tool = NullTool::new();
-        t.replay(&mut os, &mut tool);
+    fn push_rejects_an_id_no_malloc_bound() {
+        // Every id-carrying op, freed variants included; the check is an
+        // `assert!`, so it holds in release builds too.
+        let ops = [
+            TraceOp::Free { id: 1 },
+            TraceOp::Read {
+                id: 1,
+                offset: 0,
+                len: 8,
+            },
+            TraceOp::Write {
+                id: 1,
+                offset: 0,
+                len: 8,
+                fill: 0,
+            },
+            TraceOp::ReadFreed {
+                id: 1,
+                offset: 0,
+                len: 8,
+            },
+            TraceOp::WriteFreed {
+                id: 1,
+                offset: 0,
+                len: 8,
+                fill: 0,
+            },
+            TraceOp::FreeAgain { id: 1 },
+        ];
+        for op in ops {
+            let mut t = Trace::new();
+            t.push(TraceOp::Malloc {
+                size: 64,
+                frames: vec![0x1],
+            });
+            let pushed = std::panic::catch_unwind(move || t.push(op));
+            let msg = pushed.expect_err("id 1 is unbound");
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("only 1 ids were bound"), "{msg}");
+        }
     }
 
     #[test]

@@ -103,6 +103,26 @@ pub fn usage() -> String {
     )
 }
 
+/// `flag`'s value parsed as an integer.
+fn int<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| CliError(format!("{flag} needs an integer")))
+}
+
+/// `flag`'s value parsed as an integer of at least 1; `hint` ends the error
+/// for 0.
+fn at_least_one<T>(flag: &str, value: &str, hint: &str) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    let n = int(flag, value)?;
+    if n == T::from(0) {
+        return Err(CliError(format!("{flag} must be at least 1{hint}")));
+    }
+    Ok(n)
+}
+
 impl Cli {
     /// Parses arguments (without the program name).
     ///
@@ -138,18 +158,8 @@ impl Cli {
                         other => return Err(CliError(format!("unknown input mode {other:?}"))),
                     }
                 }
-                "--requests" => {
-                    cli.requests = Some(
-                        value("--requests")?
-                            .parse()
-                            .map_err(|_| CliError("--requests needs an integer".into()))?,
-                    );
-                }
-                "--seed" => {
-                    cli.seed = value("--seed")?
-                        .parse()
-                        .map_err(|_| CliError("--seed needs an integer".into()))?;
-                }
+                "--requests" => cli.requests = Some(int(&arg, &value(&arg)?)?),
+                "--seed" => cli.seed = int(&arg, &value(&arg)?)?,
                 "--trace-out" => cli.trace_out = Some(value("--trace-out")?),
                 "--replay" => cli.replay = Some(value("--replay")?),
                 "--verbose" | "-v" => cli.verbose = true,
@@ -427,53 +437,22 @@ impl CampaignCli {
             };
             match arg.as_str() {
                 "--preset" => cli.preset = value("--preset")?,
-                "--seeds" => {
-                    cli.seeds = value("--seeds")?
-                        .parse()
-                        .map_err(|_| CliError("--seeds needs an integer".into()))?;
-                }
-                "--seed0" => {
-                    cli.seed0 = value("--seed0")?
-                        .parse()
-                        .map_err(|_| CliError("--seed0 needs an integer".into()))?;
-                }
+                "--seeds" => cli.seeds = int(&arg, &value(&arg)?)?,
+                "--seed0" => cli.seed0 = int(&arg, &value(&arg)?)?,
                 "--workloads" => {
                     cli.workloads = value("--workloads")?
                         .split(',')
                         .map(str::to_string)
                         .collect();
                 }
-                "--requests" => {
-                    cli.requests = Some(
-                        value("--requests")?
-                            .parse()
-                            .map_err(|_| CliError("--requests needs an integer".into()))?,
-                    );
-                }
+                "--requests" => cli.requests = Some(int(&arg, &value(&arg)?)?),
                 "--processes" => {
-                    let n: u64 = value("--processes")?
-                        .parse()
-                        .map_err(|_| CliError("--processes needs an integer".into()))?;
-                    if n == 0 {
-                        return Err(CliError(
-                            "--processes must be at least 1 (got 0); a fleet needs a process"
-                                .into(),
-                        ));
-                    }
-                    cli.processes = Some(n);
+                    let hint = " (got 0); a fleet needs a process";
+                    cli.processes = Some(at_least_one(&arg, &value(&arg)?, hint)?);
                 }
                 "--fleet-shards" => {
-                    let n: usize = value("--fleet-shards")?
-                        .parse()
-                        .map_err(|_| CliError("--fleet-shards needs an integer".into()))?;
-                    if n == 0 {
-                        return Err(CliError(
-                            "--fleet-shards must be at least 1 (got 0); 1 is the \
-                             single-machine reference"
-                                .into(),
-                        ));
-                    }
-                    cli.fleet_shards = Some(n);
+                    let hint = " (got 0); 1 is the single-machine reference";
+                    cli.fleet_shards = Some(at_least_one(&arg, &value(&arg)?, hint)?);
                 }
                 "--fleet-sweep" => cli.fleet_sweep = true,
                 "--sampling" => {
@@ -499,15 +478,8 @@ impl CampaignCli {
                         .collect::<Result<_, _>>()?;
                 }
                 "--threads" => {
-                    let n: usize = value("--threads")?
-                        .parse()
-                        .map_err(|_| CliError("--threads needs an integer".into()))?;
-                    if n == 0 {
-                        return Err(CliError(
-                            "--threads must be at least 1 (omit it for auto)".into(),
-                        ));
-                    }
-                    cli.threads = Some(n);
+                    let hint = " (omit it for auto)";
+                    cli.threads = Some(at_least_one(&arg, &value(&arg)?, hint)?);
                 }
                 "--fresh-record" => cli.fresh_record = true,
                 "--trace-corpus" => cli.trace_corpus = Some(value("--trace-corpus")?),
@@ -820,6 +792,41 @@ mod tests {
 
     fn parse_campaign(args: &[&str]) -> Result<CampaignCli, CliError> {
         CampaignCli::parse(args.iter().map(|s| (*s).to_string()))
+    }
+
+    #[test]
+    fn integer_flags_name_themselves_in_exact_errors() {
+        for flag in ["--requests", "--seed"] {
+            let err = parse(&[flag, "x"]).unwrap_err();
+            assert_eq!(err.0, format!("{flag} needs an integer"));
+        }
+        for flag in [
+            "--seeds",
+            "--seed0",
+            "--requests",
+            "--processes",
+            "--fleet-shards",
+            "--threads",
+        ] {
+            let err = parse_campaign(&[flag, "x"]).unwrap_err();
+            assert_eq!(err.0, format!("{flag} needs an integer"));
+        }
+        for (flag, expected) in [
+            (
+                "--processes",
+                "--processes must be at least 1 (got 0); a fleet needs a process",
+            ),
+            (
+                "--fleet-shards",
+                "--fleet-shards must be at least 1 (got 0); 1 is the single-machine reference",
+            ),
+            (
+                "--threads",
+                "--threads must be at least 1 (omit it for auto)",
+            ),
+        ] {
+            assert_eq!(parse_campaign(&[flag, "0"]).unwrap_err().0, expected);
+        }
     }
 
     #[test]
